@@ -355,98 +355,13 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
 
   // Keep the per-type buckets — each sorted by (key, arrival seq) so its
   // head is the type's best phase-2 candidate — in sync with the arrival
-  // queue by replaying its mutation journal: O(what changed) per call,
-  // never a wholesale rebuild.
-  const auto entryLess = [](const BucketEntry& a, const BucketEntry& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.seq < b.seq;
-  };
-  bool rebuild = syncedQueue_ != &queue ||
-                 syncedResetGen_ != queue.resetGeneration() ||
-                 syncedPool_ != static_cast<const void*>(&ctx.pool()) ||
-                 buckets_.size() != numTypes;
-  if (!rebuild) {
-    const std::size_t journalEnd = queue.journalSize();
-    for (std::size_t i = syncedJournalPos_; i < journalEnd && !rebuild;
-         ++i) {
-      const sim::BatchQueue::JournalEntry& je = queue.journalAt(i);
-      const auto typeIdx =
-          static_cast<std::size_t>(ctx.pool()[je.task].type);
-      auto& bucket = buckets_[typeIdx];
-      const BucketEntry probe{withinTypeKey(ctx, je.task), je.seq, je.task,
-                              0};
-      if (je.op == sim::BatchQueue::JournalEntry::Op::Push) {
-        if (bucket.empty() || entryLess(bucket.back(), probe)) {
-          bucket.push_back(probe);  // common case: appended in key order
-        } else {
-          const auto it = std::upper_bound(bucket.begin(), bucket.end(),
-                                           probe, entryLess);
-          const auto pos =
-              static_cast<std::uint32_t>(it - bucket.begin());
-          bucket.insert(it, probe);
-          if (pos < bucketHead_[typeIdx]) bucketHead_[typeIdx] = pos;
-        }
-      } else {
-        // Winners are bucket heads, so the task being removed is almost
-        // always the first live entry — check it before paying for a
-        // binary search over the whole bucket (seq stamps are unique, so
-        // a matching head IS the entry).
-        auto it = bucket.begin() + bucketHead_[typeIdx];
-        if (bucketHead_[typeIdx] >= bucket.size() || it->seq != je.seq) {
-          it = std::lower_bound(bucket.begin(), bucket.end(), probe,
-                                entryLess);
-        }
-        if (it == bucket.end() || it->seq != je.seq ||
-            it->assignedCall == kDeadEntry) {
-          rebuild = true;  // defensive: journal and buckets disagree
-        } else {
-          // Tombstone, never memmove: the dead entry keeps its (key, seq)
-          // so later binary searches stay exact.
-          it->assignedCall = kDeadEntry;
-          ++bucketDead_[typeIdx];
-          std::uint32_t& head = bucketHead_[typeIdx];
-          while (head < bucket.size() &&
-                 bucket[head].assignedCall == kDeadEntry) {
-            ++head;
-          }
-          if (bucketDead_[typeIdx] >= 16 &&
-              bucketDead_[typeIdx] * 2 >
-                  static_cast<std::uint32_t>(bucket.size())) {
-            std::erase_if(bucket, [](const BucketEntry& e) {
-              return e.assignedCall == kDeadEntry;
-            });
-            bucketDead_[typeIdx] = 0;
-            bucketHead_[typeIdx] = 0;
-          }
-        }
-      }
-    }
-    syncedJournalPos_ = journalEnd;
-  }
-  if (rebuild) {
-    buckets_.resize(numTypes);
-    for (auto& bucket : buckets_) bucket.clear();
-    bucketHead_.assign(numTypes, 0);
-    bucketDead_.assign(numTypes, 0);
-    queue.forEachLive([&](sim::TaskId task, std::uint64_t seq) {
-      buckets_[static_cast<std::size_t>(ctx.pool()[task].type)].push_back(
-          BucketEntry{withinTypeKey(ctx, task), seq, task, 0});
-    });
-    for (auto& bucket : buckets_) {
-      if (!std::is_sorted(bucket.begin(), bucket.end(), entryLess)) {
-        std::sort(bucket.begin(), bucket.end(), entryLess);
-      }
-    }
-    syncedQueue_ = &queue;
-    syncedResetGen_ = queue.resetGeneration();
-    syncedJournalPos_ = queue.journalSize();
-    syncedPool_ = &ctx.pool();
-  }
+  // queue: O(what changed) per call, never a wholesale rebuild.
+  buckets_.sync(ctx, withinTypeKey);
 
-  cursor_ = bucketHead_;
+  cursor_ = buckets_.heads();
   liveTypes_.clear();
   for (std::size_t t = 0; t < numTypes; ++t) {
-    if (bucketHead_[t] < buckets_[t].size()) {
+    if (cursor_[t] < buckets_.bucket(t).size()) {
       liveTypes_.push_back(static_cast<int>(t));
     }
   }
@@ -463,14 +378,14 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
     bool anyCandidate = false;
     for (std::size_t k = 0; k < liveTypes_.size();) {
       const auto typeIdx = static_cast<std::size_t>(liveTypes_[k]);
-      const auto& bucket = buckets_[typeIdx];
+      const auto& bucket = buckets_.bucket(typeIdx);
       std::uint32_t& cur = cursor_[typeIdx];
       // Entries assigned this call or deferred this event are out of the
       // running; both states are sticky for the rest of the call, so the
       // cursor never has to back up.
       while (cur < bucket.size() &&
-             (bucket[cur].assignedCall == callGen_ ||
-              bucket[cur].assignedCall == kDeadEntry ||
+             (bucket[cur].mark == callGen_ ||
+              bucket[cur].mark == TypeBuckets::kDead ||
               queue.deferredThisEvent(bucket[cur].task))) {
         ++cur;
       }
@@ -510,8 +425,8 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
       if (saturates(bucket[cur].key, phase1)) {
         for (std::uint32_t i = cur + 1;
              i < bucket.size() && saturates(bucket[i].key, phase1); ++i) {
-          if (bucket[i].assignedCall != callGen_ &&
-              bucket[i].assignedCall != kDeadEntry &&
+          if (bucket[i].mark != callGen_ &&
+              bucket[i].mark != TypeBuckets::kDead &&
               bucket[i].seq < bucket[chosen].seq &&
               !queue.deferredThisEvent(bucket[i].task)) {
             chosen = i;
@@ -554,8 +469,8 @@ std::vector<Assignment> TwoPhaseBatchHeuristic::mapIncremental(
       }
       virtualReady_[static_cast<std::size_t>(j)] +=
           ctx.expectedExec(static_cast<sim::TaskType>(c.bucketType), j);
-      buckets_[static_cast<std::size_t>(c.bucketType)][c.bucketIndex]
-          .assignedCall = callGen_;
+      buckets_.bucket(static_cast<std::size_t>(c.bucketType))[c.bucketIndex]
+          .mark = callGen_;
       touched_[static_cast<std::size_t>(j)] = 1;
     }
     markStaleForTouched();

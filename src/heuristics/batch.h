@@ -26,12 +26,13 @@
 //    scan would be byte-identical); phase 2 walks one candidate per type —
 //    tasks of a type live in per-type buckets sorted by a static
 //    within-type key, so the type's head is its best phase-2 candidate —
-//    instead of the whole batch.  The buckets are not rebuilt per call:
-//    they replay the batch queue's mutation journal, so a mapping event
-//    costs O(what changed), not O(queue).  Between map() calls the
-//    phase-1 table's validity is decided by comparing each machine's
-//    (ready, eligibility) against the end of the previous call: if nothing
-//    improved, only the worsened machines' dependent types rescan.
+//    instead of the whole batch.  The buckets (TypeBuckets) are not
+//    rebuilt per call: they replay the batch queue's mutation journal, so
+//    a mapping event costs O(what changed), not O(queue).  Between map()
+//    calls the phase-1 table's validity is decided by comparing each
+//    machine's (ready, eligibility) against the end of the previous call:
+//    if nothing improved, only the worsened machines' dependent types
+//    rescan.
 //
 // The engine is statically bound to each heuristic's phase-2 score (a
 // template, not a virtual call): the score runs on the hot path of every
@@ -42,6 +43,7 @@
 #include <limits>
 
 #include "heuristics/heuristic.h"
+#include "heuristics/type_buckets.h"
 
 namespace hcs::heuristics {
 
@@ -194,25 +196,10 @@ class TwoPhaseBatchHeuristic : public BatchHeuristic {
 
   // --- Incremental-path state (persistent contexts only) ---------------------
 
-  /// assignedCall value marking a tombstone (the task left the queue).
-  /// Removals never memmove the bucket — the dead entry keeps its
-  /// (key, seq) so binary searches stay valid, a persistent head pointer
-  /// hops the dead prefix (the common death site: winners are heads), and
-  /// compaction sweeps when tombstones outnumber the living.
-  static constexpr std::uint32_t kDeadEntry = 0xffffffffu;
-
-  struct BucketEntry {
-    double key = 0.0;             ///< within-type ordering key
-    std::uint64_t seq = 0;        ///< stable arrival sequence (tie-break)
-    sim::TaskId task = sim::kInvalidTask;
-    std::uint32_t assignedCall = 0;  ///< callGen_ stamp, or kDeadEntry
-  };
   /// Per type: its queued tasks sorted by (key, seq); head = best phase-2
-  /// candidate of the type.  Maintained across calls by replaying the
-  /// batch queue's mutation journal.
-  std::vector<std::vector<BucketEntry>> buckets_;
-  std::vector<std::uint32_t> bucketHead_;  ///< first maybe-live index
-  std::vector<std::uint32_t> bucketDead_;  ///< tombstones in the bucket
+  /// candidate of the type.  A live entry's mark is the callGen_ of the
+  /// call that assigned it.
+  TypeBuckets buckets_;
   std::vector<std::uint32_t> cursor_;  ///< per type: first candidate entry
   std::vector<int> liveTypes_;         ///< types with candidate tasks
   std::vector<char> touched_;          ///< per machine, one commit's wake
@@ -221,11 +208,6 @@ class TwoPhaseBatchHeuristic : public BatchHeuristic {
   /// into (or whose rescan refreshed) the memo.
   std::vector<std::uint32_t> typeMergeGen_;
   std::uint32_t callGen_ = 0;          ///< map() call counter (stamps)
-  /// Journal synchronization with the attached batch queue.
-  const sim::BatchQueue* syncedQueue_ = nullptr;
-  std::uint64_t syncedResetGen_ = 0;
-  std::size_t syncedJournalPos_ = 0;
-  const void* syncedPool_ = nullptr;  ///< keys read task data from here
   /// Virtual queue state at the end of the previous map() call — the
   /// baseline the next call diffs against to decide which memo entries
   /// survived the world's mutations.

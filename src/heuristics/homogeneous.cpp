@@ -7,41 +7,6 @@ namespace hcs::heuristics {
 
 namespace {
 
-/// Assigns tasks in the given order, each to its minimum expected completion
-/// time machine, tracking virtual ready times and slots — the shared
-/// second half of EDF and SJF.
-std::vector<Assignment> greedyMinCompletion(
-    const MappingContext& ctx, const std::vector<sim::TaskId>& order) {
-  const int m = ctx.numMachines();
-  std::vector<double> virtualReady(static_cast<std::size_t>(m));
-  std::vector<std::size_t> slots(static_cast<std::size_t>(m));
-  for (sim::MachineId j = 0; j < m; ++j) {
-    virtualReady[static_cast<std::size_t>(j)] = ctx.expectedReady(j);
-    slots[static_cast<std::size_t>(j)] = ctx.freeSlots(j);
-  }
-  std::vector<Assignment> result;
-  for (sim::TaskId task : order) {
-    const sim::TaskType type = ctx.pool()[task].type;
-    sim::MachineId bestMachine = sim::kInvalidMachine;
-    double bestEct = 0.0;
-    for (sim::MachineId j = 0; j < m; ++j) {
-      if (slots[static_cast<std::size_t>(j)] == 0) continue;
-      const double ect = virtualReady[static_cast<std::size_t>(j)] +
-                         ctx.expectedExec(type, j);
-      if (bestMachine == sim::kInvalidMachine || ect < bestEct) {
-        bestMachine = j;
-        bestEct = ect;
-      }
-    }
-    if (bestMachine == sim::kInvalidMachine) break;  // all queues full
-    result.push_back(Assignment{task, bestMachine});
-    slots[static_cast<std::size_t>(bestMachine)] -= 1;
-    virtualReady[static_cast<std::size_t>(bestMachine)] +=
-        ctx.expectedExec(type, bestMachine);
-  }
-  return result;
-}
-
 /// Cheapest expected execution across machines; on a homogeneous cluster
 /// this is simply the type's execution mean.
 double minExpectedExec(const MappingContext& ctx, sim::TaskType type) {
@@ -77,30 +42,118 @@ std::vector<Assignment> FcfsRoundRobin::map(
   return result;
 }
 
+std::size_t KeyOrderedHeuristic::openSlots(const MappingContext& ctx,
+                                           std::size_t cap) {
+  const auto m = static_cast<std::size_t>(ctx.numMachines());
+  virtualReady_.resize(m);
+  slots_.resize(m);
+  std::size_t open = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    const auto id = static_cast<sim::MachineId>(j);
+    slots_[j] = ctx.freeSlots(id);
+    // Only machines with a slot are ever priced (placeHead skips the rest).
+    virtualReady_[j] = slots_[j] > 0 ? ctx.expectedReady(id) : 0.0;
+    // Capped as it sums: an unbounded context reports kUnbounded slots.
+    open += std::min(slots_[j], cap - open);
+  }
+  return open;
+}
+
+std::vector<Assignment> KeyOrderedHeuristic::placeHead(
+    const MappingContext& ctx) {
+  const int m = ctx.numMachines();
+  std::vector<Assignment> result;
+  result.reserve(head_.size());
+  for (const sim::TaskId task : head_) {
+    const sim::TaskType type = ctx.pool()[task].type;
+    sim::MachineId bestMachine = sim::kInvalidMachine;
+    double bestEct = 0.0;
+    for (sim::MachineId j = 0; j < m; ++j) {
+      if (slots_[static_cast<std::size_t>(j)] == 0) continue;
+      const double ect = virtualReady_[static_cast<std::size_t>(j)] +
+                         ctx.expectedExec(type, j);
+      if (bestMachine == sim::kInvalidMachine || ect < bestEct) {
+        bestMachine = j;
+        bestEct = ect;
+      }
+    }
+    // The head holds at most as many tasks as there are free slots.
+    result.push_back(Assignment{task, bestMachine});
+    slots_[static_cast<std::size_t>(bestMachine)] -= 1;
+    virtualReady_[static_cast<std::size_t>(bestMachine)] +=
+        ctx.expectedExec(type, bestMachine);
+  }
+  return result;
+}
+
+template <class KeyFn>
+std::vector<Assignment> KeyOrderedHeuristic::mapByKey(
+    const MappingContext& ctx, std::span<const sim::TaskId> batch,
+    const KeyFn& key) {
+  head_.clear();
+  if (ctx.persistent() && ctx.batchQueue() != nullptr && batch.empty()) {
+    // Wide round: merge the per-type bucket heads, K times.
+    const sim::BatchQueue& queue = *ctx.batchQueue();
+    const std::size_t k = openSlots(ctx, queue.size());
+    if (k == 0) return {};
+    buckets_.sync(ctx, key);
+    cursor_ = buckets_.heads();
+    while (head_.size() < k) {
+      const TypeBuckets::Entry* best = nullptr;
+      std::size_t bestType = 0;
+      for (std::size_t t = 0; t < cursor_.size(); ++t) {
+        const std::vector<TypeBuckets::Entry>& bucket = buckets_.bucket(t);
+        std::uint32_t& cur = cursor_[t];
+        while (cur < bucket.size() &&
+               (bucket[cur].mark == TypeBuckets::kDead ||
+                queue.deferredThisEvent(bucket[cur].task))) {
+          ++cur;
+        }
+        if (cur < bucket.size() &&
+            (best == nullptr || TypeBuckets::less(bucket[cur], *best))) {
+          best = &bucket[cur];
+          bestType = t;
+        }
+      }
+      if (best == nullptr) break;  // every queued task is deferred
+      head_.push_back(best->task);
+      ++cursor_[bestType];
+    }
+  } else {
+    // Candidate span: one key per task, the head by (key, span position).
+    const std::size_t k = openSlots(ctx, batch.size());
+    if (k == 0) return {};
+    keyed_.clear();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      keyed_.emplace_back(key(ctx, batch[i]), static_cast<std::uint32_t>(i));
+    }
+    const auto headEnd = keyed_.begin() + static_cast<std::ptrdiff_t>(k);
+    std::partial_sort(keyed_.begin(), headEnd, keyed_.end());
+    for (auto it = keyed_.begin(); it != headEnd; ++it) {
+      head_.push_back(batch[it->second]);
+    }
+  }
+  return placeHead(ctx);
+}
+
 std::vector<Assignment> EarliestDeadlineFirst::map(
     const MappingContext& ctx, std::span<const sim::TaskId> batch) {
-  std::vector<sim::TaskId> order(batch.begin(), batch.end());
-  std::sort(order.begin(), order.end(),
-            [&](sim::TaskId a, sim::TaskId b) {
-              const auto& ta = ctx.pool()[a];
-              const auto& tb = ctx.pool()[b];
-              if (ta.deadline != tb.deadline) return ta.deadline < tb.deadline;
-              return a < b;
-            });
-  return greedyMinCompletion(ctx, order);
+  return mapByKey(ctx, batch, [](const MappingContext& c, sim::TaskId task) {
+    return c.pool()[task].deadline;
+  });
 }
 
 std::vector<Assignment> ShortestJobFirst::map(
     const MappingContext& ctx, std::span<const sim::TaskId> batch) {
-  std::vector<sim::TaskId> order(batch.begin(), batch.end());
-  std::sort(order.begin(), order.end(),
-            [&](sim::TaskId a, sim::TaskId b) {
-              const double ea = minExpectedExec(ctx, ctx.pool()[a].type);
-              const double eb = minExpectedExec(ctx, ctx.pool()[b].type);
-              if (ea != eb) return ea < eb;
-              return a < b;
-            });
-  return greedyMinCompletion(ctx, order);
+  typeKey_.resize(static_cast<std::size_t>(ctx.model().numTaskTypes()));
+  for (std::size_t t = 0; t < typeKey_.size(); ++t) {
+    typeKey_[t] = minExpectedExec(ctx, static_cast<sim::TaskType>(t));
+  }
+  return mapByKey(ctx, batch,
+                  [this](const MappingContext& c, sim::TaskId task) {
+                    return typeKey_[static_cast<std::size_t>(
+                        c.pool()[task].type)];
+                  });
 }
 
 }  // namespace hcs::heuristics

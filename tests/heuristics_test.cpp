@@ -11,6 +11,8 @@
 #include "heuristics/homogeneous.h"
 #include "heuristics/immediate.h"
 #include "heuristics/registry.h"
+#include "heuristics/type_buckets.h"
+#include "sim/batch_queue.h"
 #include "sim/machine.h"
 #include "test_util.h"
 
@@ -444,6 +446,161 @@ TEST(HomogeneousTest, SjfMapsByExecutionTimeOrder) {
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].task, quick);
   EXPECT_EQ(assignments[1].task, medium);
+}
+
+TEST(HomogeneousTest, TiesFollowBatchOrderNotTaskIds) {
+  // Streamed task ids are recycled slot handles, so a tie must resolve by
+  // arrival (batch) order; here batch order runs against id order.
+  const FakeModel model = FakeModel::deterministic({{4.0, 4.0}});
+  TestWorld world(2, model, /*capacity=*/1);
+  const TaskId a = world.addTask(0, 0.0, 50.0);
+  const TaskId b = world.addTask(0, 0.0, 50.0);
+  const TaskId c = world.addTask(0, 0.0, 50.0);
+  const TaskId urgent = world.addTask(0, 0.0, 10.0);
+  const std::vector<TaskId> batch{c, a, urgent, b};
+  hcs::heuristics::EarliestDeadlineFirst edf;
+  EXPECT_EQ(ids(edf.map(world.context(), batch)),
+            (std::vector<TaskId>{urgent, c}));
+  hcs::heuristics::ShortestJobFirst sjf;
+  EXPECT_EQ(ids(sjf.map(world.context(), batch)),
+            (std::vector<TaskId>{c, a}));
+}
+
+TEST(HomogeneousTest, EdfAndSjfMapNothingWithoutFreeSlots) {
+  const FakeModel model = FakeModel::deterministic({{4.0, 4.0}});
+  TestWorld world(2, model, /*capacity=*/1);
+  world.preload(0, 0, 1);
+  world.preload(1, 0, 1);
+  const std::vector<TaskId> batch{world.addTask(0, 0.0, 50.0),
+                                  world.addTask(0, 0.0, 20.0)};
+  hcs::heuristics::EarliestDeadlineFirst edf;
+  hcs::heuristics::ShortestJobFirst sjf;
+  EXPECT_TRUE(edf.map(world.context(), batch).empty());
+  EXPECT_TRUE(sjf.map(world.context(), batch).empty());
+}
+
+TEST(HomogeneousTest, MoreSlotsThanTasksMapsEveryTaskInOrder) {
+  const FakeModel model =
+      FakeModel::deterministic({{7.0, 7.0}, {1.0, 1.0}, {4.0, 4.0}});
+  TestWorld world(2, model, /*capacity=*/4);
+  const TaskId slowSoon = world.addTask(0, 0.0, 10.0);
+  const TaskId quickLate = world.addTask(1, 0.0, 30.0);
+  const TaskId mediumMid = world.addTask(2, 0.0, 20.0);
+  const std::vector<TaskId> batch{slowSoon, quickLate, mediumMid};
+  hcs::heuristics::EarliestDeadlineFirst edf;
+  EXPECT_EQ(ids(edf.map(world.context(), batch)),
+            (std::vector<TaskId>{slowSoon, mediumMid, quickLate}));
+  hcs::heuristics::ShortestJobFirst sjf;
+  EXPECT_EQ(ids(sjf.map(world.context(), batch)),
+            (std::vector<TaskId>{quickLate, mediumMid, slowSoon}));
+}
+
+TEST(HomogeneousTest, QueueReadingPathSkipsDeferredTasks) {
+  // A persistent context with an attached queue and an empty span: EDF and
+  // SJF read the candidates off the queue, where a task deferred this
+  // mapping event is out of the running until the next one.
+  const FakeModel model = FakeModel::deterministic({{7.0, 7.0}, {1.0, 1.0}});
+  TestWorld world(2, model, /*capacity=*/1);
+  const TaskId slowSoon = world.addTask(0, 0.0, 10.0);
+  const TaskId quickLate = world.addTask(1, 0.0, 30.0);
+  const TaskId slowLate = world.addTask(0, 0.0, 40.0);
+  MappingContext ctx = world.context();
+  ctx.enablePersistence();
+  hcs::sim::BatchQueue queue;
+  ctx.attachBatchQueue(&queue);
+  for (const TaskId t : {slowSoon, quickLate, slowLate}) queue.push(t);
+  hcs::heuristics::EarliestDeadlineFirst edf;
+  hcs::heuristics::ShortestJobFirst sjf;
+  EXPECT_EQ(ids(edf.map(ctx, {})),
+            (std::vector<TaskId>{slowSoon, quickLate}));
+  EXPECT_EQ(ids(sjf.map(ctx, {})),
+            (std::vector<TaskId>{quickLate, slowSoon}));
+
+  queue.beginEvent();
+  queue.markDeferred(slowSoon);
+  queue.markDeferred(quickLate);
+  EXPECT_EQ(ids(edf.map(ctx, {})), (std::vector<TaskId>{slowLate}));
+  EXPECT_EQ(ids(sjf.map(ctx, {})), (std::vector<TaskId>{slowLate}));
+
+  // The next event expires the deferrals; a removal replays through the
+  // journal.
+  queue.beginEvent();
+  queue.remove(slowSoon);
+  EXPECT_EQ(ids(edf.map(ctx, {})),
+            (std::vector<TaskId>{quickLate, slowLate}));
+  EXPECT_EQ(ids(sjf.map(ctx, {})),
+            (std::vector<TaskId>{quickLate, slowLate}));
+}
+
+// --- TypeBuckets ------------------------------------------------------------------------
+
+/// The live tasks of one bucket, in bucket order.
+std::vector<TaskId> liveIn(const hcs::heuristics::TypeBuckets& buckets,
+                           std::size_t type) {
+  std::vector<TaskId> out;
+  const auto& bucket = buckets.bucket(type);
+  for (std::size_t i = buckets.heads()[type]; i < bucket.size(); ++i) {
+    if (bucket[i].mark != hcs::heuristics::TypeBuckets::kDead) {
+      out.push_back(bucket[i].task);
+    }
+  }
+  return out;
+}
+
+TEST(TypeBucketsTest, ReplaysRecycledSlotsWithoutRebuilding) {
+  // Under streaming a task can leave the queue, terminate and hand its
+  // pool slot to a newer task of another type before the journal is
+  // replayed.  The removal must still be found (through what its push was
+  // filed under), not trigger a rebuild — which would re-read every key.
+  const FakeModel model = FakeModel::deterministic({{1.0}, {2.0}});
+  TaskPool pool;
+  pool.enableRecycling();
+  std::vector<Machine> machines;
+  machines.emplace_back(0, 1.0);
+  MappingContext ctx(0.0, pool, machines, model, 4);
+  ctx.enablePersistence();
+  hcs::sim::BatchQueue queue;
+  ctx.attachBatchQueue(&queue);
+  hcs::heuristics::TypeBuckets buckets;
+  int keyReads = 0;
+  const auto key = [&](const MappingContext& c, TaskId task) {
+    ++keyReads;
+    return c.pool()[task].deadline;
+  };
+
+  const TaskId a = pool.create(0, 0.0, 30.0);
+  const TaskId b = pool.create(1, 0.0, 20.0);
+  queue.push(a);
+  queue.push(b);
+  buckets.sync(ctx, key);
+  EXPECT_EQ(keyReads, 2);
+
+  // Remove replayed after the slot's reuse.
+  queue.remove(a);
+  pool.retire(a);
+  const TaskId c = pool.create(1, 0.0, 10.0);
+  ASSERT_EQ(c, a);
+  queue.push(c);
+  keyReads = 0;
+  buckets.sync(ctx, key);
+  EXPECT_EQ(keyReads, 1);
+  EXPECT_TRUE(liveIn(buckets, 0).empty());
+  EXPECT_EQ(liveIn(buckets, 1), (std::vector<TaskId>{c, b}));
+
+  // Push AND remove replayed after the slot's reuse: the push files the
+  // newer task's data, and its removal finds exactly that entry.
+  const TaskId d = pool.create(0, 0.0, 5.0);
+  queue.push(d);
+  queue.remove(d);
+  pool.retire(d);
+  const TaskId e = pool.create(1, 0.0, 15.0);
+  ASSERT_EQ(e, d);
+  queue.push(e);
+  keyReads = 0;
+  buckets.sync(ctx, key);
+  EXPECT_EQ(keyReads, 2);
+  EXPECT_TRUE(liveIn(buckets, 0).empty());
+  EXPECT_EQ(liveIn(buckets, 1), (std::vector<TaskId>{c, e, b}));
 }
 
 // --- Registry ------------------------------------------------------------------------

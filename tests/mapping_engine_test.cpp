@@ -107,15 +107,32 @@ TEST(EngineEquivalenceTest, HomogeneousHeuristicsMatchAcrossEngines) {
       scenario.arrivalSpec(exp::PaperScenario::kRate20k,
                            workload::ArrivalPattern::Constant),
       {}, 11);
+  // Pruning on exercises the deferral skip of the queue-reading path;
+  // threshold 0 forces every round onto it (queues at this scale may stay
+  // under the default); the heterogeneous cluster gives SJF distinct
+  // per-machine minima and EDF distinct completion times.
   for (const char* name : {"FCFS-RR", "EDF", "SJF"}) {
-    core::SimulationConfig config;
-    config.heuristic = name;
-    config.warmupMargin = 0;
-    const TrialDigest incremental =
-        runTrial(config, scenario.homo(), wl, true);
-    const TrialDigest reference =
-        runTrial(config, scenario.homo(), wl, false);
-    EXPECT_EQ(incremental, reference) << name << " diverged";
+    for (const bool prune : {true, false}) {
+      for (const bool homo : {true, false}) {
+        const workload::BoundExecutionModel& cluster =
+            homo ? scenario.homo() : scenario.hetero();
+        core::SimulationConfig config;
+        config.heuristic = name;
+        config.pruning = prune ? pruning::PruningConfig{}
+                               : pruning::PruningConfig::disabled();
+        config.warmupMargin = 0;
+        const TrialDigest reference = runTrial(config, cluster, wl, false);
+        for (const std::size_t minQueue :
+             {core::SimulationConfig{}.incrementalMapMinQueue,
+              std::size_t{0}}) {
+          config.incrementalMapMinQueue = minQueue;
+          const TrialDigest incremental = runTrial(config, cluster, wl, true);
+          EXPECT_EQ(incremental, reference)
+              << name << " diverged (prune=" << prune << ", homo=" << homo
+              << ", minQueue=" << minQueue << ")";
+        }
+      }
+    }
   }
 }
 

@@ -225,7 +225,8 @@ TEST_P(StreamedTrialOracle, MatchesMaterializedAcrossEngineConfigs) {
 
 INSTANTIATE_TEST_SUITE_P(HeuristicsTimesEngines, StreamedTrialOracle,
                          ::testing::Values("MM", "MSD", "MaxMin", "MCT",
-                                           "KPB", "MaxChance"));
+                                           "KPB", "MaxChance", "EDF", "SJF",
+                                           "FCFS-RR"));
 
 TEST(StreamedTrialOracleTest, MatchesMaterializedUnderMachineChurn) {
   exp::PaperScenario::Options options;

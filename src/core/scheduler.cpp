@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <span>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -12,31 +12,6 @@
 #include "prob/kernels.h"
 
 namespace hcs::core {
-
-namespace {
-
-/// Decides a chance-vs-bar comparison from the candidate PCT's support
-/// interval alone.  Returns exactly 0 when every bin misses the cutoff,
-/// 1 when every bin makes it AND the bar sits far enough from 1 that the
-/// true chance (within the PMF mass tolerance of 1) compares identically,
-/// and nullopt when the comparison genuinely needs the convolution.
-/// `cutoff` must use the same arithmetic as DiscretePmf::cdf
-/// (deadline + binWidth * 1e-6); the bar guard mirrors Pruner::belowBar's
-/// `chance <= bar` semantics.  Shared by the proactive dropping pass and
-/// the deferring check so the delicate tolerance logic exists once.
-std::optional<double> chanceFromSupportBounds(
-    std::int64_t candMin, std::int64_t candMax, double binWidth,
-    double cutoff, const pruning::Pruner& pruner, sim::TaskType type,
-    double value) {
-  if (static_cast<double>(candMin) * binWidth >= cutoff) return 0.0;
-  if (static_cast<double>(candMax) * binWidth < cutoff) {
-    const double bar = pruner.pruningBar(type, value);
-    if (bar < 1.0 - 1e-6 || bar >= 1.0) return 1.0;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 AllocationMode allocationModeFor(const std::string& heuristicName) {
   if (heuristics::isImmediateHeuristic(heuristicName)) {
@@ -417,25 +392,35 @@ void Scheduler::proactiveDropPass(World& world, sim::Time now) {
       }
       continue;
     }
-    // Incremental path: full convolutions are the expensive part, and some
-    // drop decisions don't need them — the chain's support bounds (exact
-    // integer sums of the factors' first/last bins) can already prove the
-    // chance is 0 or within 1e-9 of 1, which decides shouldDrop
-    // identically.  When a chance must actually be computed it comes from
-    // the PCT cache's prefix chain (valid while no task has been dropped:
-    // every earlier queued task was kept, which is exactly the prefix
-    // invariant) and, after the first drop, from a live accumulator seeded
-    // with the last kept prefix.
+    // Incremental path: every drop decision only asks `chance <= bar`, and
+    // prob::certifiedChance settles almost all of them without a
+    // convolution — from the candidate's support bounds (exact integer
+    // sums of the factors' first/last bins) or from a certified estimate.
+    // While nothing has been dropped the estimate comes from the PCT
+    // cache's queue-suffix chain; after a drop the unmodified queue's
+    // prefixes no longer apply, and it comes from the kept chain `acc`
+    // (availability ⊛ kept PETs) against the candidate's PET.  `acc` is
+    // materialized only when needed, folding in `pending` — the kept PETs
+    // not yet folded — so every convolution is the reference's, in the
+    // reference's order, and exact chances are bit-identical.
     const double w = m.binWidth();
     auto [accMinB, accMaxB] = m.availabilityBounds(now, world.pool,
                                                    world.model);
-    // Prefix PCTs of the unmodified queue; built on first need.
-    std::optional<heuristics::PctCache::QueueChainView> chain;
-    std::optional<prob::DiscretePmf> acc;  // kept chain once a drop diverges
-    // Kept PETs not yet folded into acc (and, pre-drop, the kept prefix in
-    // case acc must be seeded without a materialized chain).
+    prob::PmfArena& arena = prob::PmfArena::local();
+    std::optional<prob::DiscretePmf> acc;
+    std::optional<prob::DiscretePmf> candidate;  // acc ⊛ pet, when computed
     std::vector<const prob::DiscretePmf*>& pending = pendingScratch_;
     pending.clear();
+    const auto keptChain = [&]() -> const prob::DiscretePmf& {
+      if (!acc.has_value()) {
+        acc = m.availabilityPct(now, world.pool, world.model);
+      }
+      for (const prob::DiscretePmf* p : pending) {
+        prob::convolveInPlace(arena, *acc, *p);
+      }
+      pending.clear();
+      return *acc;
+    };
     bool droppedAny = false;
     std::vector<sim::TaskId>& toDrop = proactiveDropScratch_;
     toDrop.clear();
@@ -443,69 +428,42 @@ void Scheduler::proactiveDropPass(World& world, sim::Time now) {
     for (sim::TaskId id : m.queue()) {
       const sim::Task& t = world.pool[id];
       const prob::DiscretePmf& pet = world.model.pet(t.type, m.id());
-      const std::int64_t candMin = accMinB + pet.firstBin();
-      const std::int64_t candMax = accMaxB + pet.lastBin();
-      const double cutoff = t.deadline + w * 1e-6;
-      const std::optional<double> boundsChance = chanceFromSupportBounds(
-          candMin, candMax, w, cutoff, pruner_, t.type, t.value);
-      bool drop;
-      bool keptViaAcc = false;
-      if (boundsChance.has_value()) {
-        // The whole support sits on one side of the deadline: the chance
-        // (exactly 0, or within the mass tolerance of 1 with the bar far
-        // from 1) decides shouldDrop without any convolution.
-        drop = pruner_.shouldDrop(t.type, *boundsChance, t.value);
-      } else if (!droppedAny) {
-        if (!chain.has_value()) {
-          chain.emplace(
-              pctCache_->queueChain(m, now, world.pool, world.model));
-        }
-        const double chance =
-            chain->rel[idx].cdfShiftedBy(chain->anchor, t.deadline);
-        drop = pruner_.shouldDrop(t.type, chance, t.value);
-      } else {
-        prob::PmfArena& arena = prob::PmfArena::local();
-        for (const prob::DiscretePmf* p : pending) {
-          prob::convolveInPlace(arena, *acc, *p);
-        }
-        pending.clear();
-        prob::DiscretePmf pct = prob::convolveInto(arena, *acc, pet);
-        const double chance = pct.successProbability(t.deadline);
-        drop = pruner_.shouldDrop(t.type, chance, t.value);
-        if (!drop) {
-          arena.recycle(std::move(*acc));
-          acc = std::move(pct);
-          keptViaAcc = true;
-        } else {
-          arena.recycle(std::move(pct));
-        }
-      }
-      if (drop) {
-        toDrop.push_back(id);
-        if (!droppedAny) {
-          // Seed the live accumulator with the PCT of the last kept prefix.
-          droppedAny = true;
-          if (chain.has_value() && idx > 0) {
-            acc = chain->rel[idx - 1].shifted(chain->anchor);
-          } else {
-            acc = m.availabilityPct(now, world.pool, world.model);
-            prob::PmfArena& arena = prob::PmfArena::local();
-            for (const prob::DiscretePmf* p : pending) {
-              prob::convolveInPlace(arena, *acc, *p);
+      const prob::CertifiedChance chance = prob::certifiedChance(
+          accMinB + pet.firstBin(), accMaxB + pet.lastBin(), w, t.deadline,
+          pruner_.pruningBar(t.type, t.value),
+          [&] {
+            if (!droppedAny) {
+              return pctCache_->queuedChanceEstimate(
+                  m, now, world.pool, world.model, idx, t.deadline);
             }
-          }
-          pending.clear();
-        }
+            const prob::DiscretePmf& kept = keptChain();
+            return prob::convolvedCdfEstimate(kept.probs(), kept.firstBin(),
+                                              pet.cdfTable(), pet.firstBin(),
+                                              kept.binWidth(), t.deadline);
+          },
+          [&] {
+            candidate = prob::convolveInto(arena, keptChain(), pet);
+            return candidate->successProbability(t.deadline);
+          });
+      pctCache_->recordDropStage(chance.stage);
+      if (pruner_.shouldDrop(t.type, chance.chance, t.value)) {
+        toDrop.push_back(id);
+        droppedAny = true;
+        if (candidate.has_value()) arena.recycle(std::move(*candidate));
       } else {
         accMinB += pet.firstBin();
         accMaxB += pet.lastBin();
-        if (!keptViaAcc && (droppedAny || !chain.has_value())) {
+        if (candidate.has_value()) {
+          arena.recycle(std::move(*acc));
+          acc = std::move(*candidate);
+        } else {
           pending.push_back(&pet);
         }
       }
+      candidate.reset();
       ++idx;
     }
-    if (acc.has_value()) prob::PmfArena::local().recycle(std::move(*acc));
+    if (acc.has_value()) arena.recycle(std::move(*acc));
     for (sim::TaskId id : toDrop) {
       m.removeQueued(id, now, world.pool, world.model);
       dropTask(world, id, now, sim::TaskStatus::DroppedProactive);
@@ -517,18 +475,21 @@ double Scheduler::deferChance(World& world,
                               const heuristics::MappingContext& ctx,
                               const heuristics::Assignment& a,
                               const sim::Task& t, sim::Time now) const {
-  if (pctCache_ != nullptr) {
-    const sim::Machine& m = world.machines[static_cast<std::size_t>(a.machine)];
-    const double w = m.binWidth();
-    const double cutoff = t.deadline + w * 1e-6;
-    const auto [tailLo, tailHi] = m.tailBounds(now, world.pool, world.model);
-    const prob::DiscretePmf& pet = world.model.pet(t.type, m.id());
-    const std::optional<double> boundsChance = chanceFromSupportBounds(
-        tailLo + pet.firstBin(), tailHi + pet.lastBin(), w, cutoff, pruner_,
-        t.type, t.value);
-    if (boundsChance.has_value()) return *boundsChance;
-  }
-  return ctx.successChance(a.task, a.machine);
+  if (pctCache_ == nullptr) return ctx.successChance(a.task, a.machine);
+  const sim::Machine& m = world.machines[static_cast<std::size_t>(a.machine)];
+  const auto [tailLo, tailHi] = m.tailBounds(now, world.pool, world.model);
+  const prob::DiscretePmf& pet = world.model.pet(t.type, m.id());
+  const prob::CertifiedChance chance = prob::certifiedChance(
+      tailLo + pet.firstBin(), tailHi + pet.lastBin(), m.binWidth(),
+      t.deadline, pruner_.pruningBar(t.type, t.value),
+      [&] {
+        return pctCache_->appendChanceEstimate(m, now, world.pool,
+                                               world.model, t.type,
+                                               t.deadline);
+      },
+      [&] { return ctx.successChance(a.task, a.machine); });
+  pctCache_->recordDeferStage(chance.stage);
+  return chance.chance;
 }
 
 bool Scheduler::anyFreeSlot(const World& world) const {
@@ -549,12 +510,10 @@ bool Scheduler::applyAssignments(
     // Step 10: chance of success on the *live* machine state (earlier
     // dispatches in this event are already reflected in the tail PCT).
     // When the configuration can never defer, the chance is dead weight —
-    // skip its convolution outright.  Otherwise try to decide the defer
-    // comparison from support bounds alone (the same interval shortcut
-    // the proactive pass uses): when the whole candidate PCT support
-    // sits on one side of the deadline, the chance is exactly 0 or
-    // within the mass tolerance of 1 and the convolution never runs.
-    // Like the proactive pass, the shortcut belongs to the incremental
+    // skip its convolution outright.  Otherwise settle the defer comparison
+    // through prob::certifiedChance, as the proactive pass does: support
+    // bounds, then a certified estimate, and the convolution only near the
+    // bar.  Like the proactive pass, the staging belongs to the incremental
     // machinery — the --no-pct-cache reference path recomputes the full
     // chance per candidate, exactly as Fig. 5 reads.
     const double chance = pruner_.deferUsesChance()
@@ -654,27 +613,17 @@ void Scheduler::dispatch(World& world, sim::TaskId task, sim::MachineId machine,
                          sim::Time now) {
   sim::Machine& m = world.machines[static_cast<std::size_t>(machine)];
   emit(now, sim::TraceEventKind::Dispatched, task, machine);
-  // When the deferring check reads chances, the cache either just computed
-  // tailPct ⊛ PET for it or computes it now; either way the machine's
-  // Eq. 1 update reuses it instead of convolving again.  When no deferring
-  // check can ever read a chance, skip the append outright — the machine
-  // queues the PET as a lazy pending append that only materializes if some
-  // consumer actually reads the tail (in the no-defer configurations,
-  // typically never).
+  // When the deferring check convolved tailPct ⊛ PET (the exact stage), the
+  // machine's Eq. 1 update reuses it instead of convolving again.
+  // Otherwise the machine queues the PET as a lazy pending append that
+  // only materializes if some consumer actually reads the tail.
   std::optional<prob::DiscretePmf> newTail;
-  const std::uint64_t preEpoch = m.queueEpoch();
   if (pctCache_ != nullptr && m.tracksTail() && pruner_.deferUsesChance()) {
     newTail = pctCache_->peekAppendPct(m, now, world.pool[task].type);
   }
   const bool started =
       m.dispatch(task, now, world.pool, world.model,
                  newTail.has_value() ? &*newTail : nullptr);
-  if (!started && pctCache_ != nullptr) {
-    // The dispatch appended to the queue: extend the memoized proactive
-    // chain by one convolution instead of rebuilding it at the next pass.
-    pctCache_->noteAppend(m, now, world.pool, world.model,
-                          world.pool[task].type, preEpoch);
-  }
   if (started) {
     emit(now, sim::TraceEventKind::Started, task, machine);
     scheduleCompletion(world, machine, task, now);

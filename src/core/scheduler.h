@@ -136,9 +136,10 @@ class Scheduler {
                         const std::vector<heuristics::Assignment>& assignments,
                         const heuristics::MappingContext& ctx, sim::Time now);
 
-  /// Chance of success for the step-10 deferring check: decided from the
-  /// candidate PCT's support bounds when possible (identical decision,
-  /// no convolution), otherwise computed through the context.
+  /// Chance of success for the step-10 deferring check, certified by
+  /// prob::certifiedChance: it compares against the pruning bar exactly as
+  /// the exact chance would, convolving (through the context) only when
+  /// neither the support bounds nor the estimate settle the comparison.
   double deferChance(World& world, const heuristics::MappingContext& ctx,
                      const heuristics::Assignment& a, const sim::Task& t,
                      sim::Time now) const;
@@ -192,7 +193,8 @@ class Scheduler {
   /// alias of overdueScratch_, so the two passes can never trample each
   /// other through a shared name.
   std::vector<sim::TaskId> proactiveDropScratch_;
-  /// Reusable kept-PET list for the proactive pass's incremental chain.
+  /// Reusable list of kept PETs not yet folded into the proactive pass's
+  /// exact-fallback chain.
   std::vector<const prob::DiscretePmf*> pendingScratch_;
   /// Reusable per-event working sets for the batch-mapping loop.
   std::vector<sim::TaskId> candidateScratch_;

@@ -282,13 +282,18 @@ TrialResult Simulation::run() {
                      .machineUtilization = {},
                      .fairnessScores = {},
                      .mappingEvents = 0,
-                     .makespan = 0};
+                     .makespan = 0,
+                     .mappingEngineSeconds = 0.0,
+                     .pctCache = {}};
   result.robustnessPercent = result.metrics.robustnessPercent();
   result.makespan = now;
   result.mappingEvents = scheduler.mappingEvents();
   result.mappingEngineSeconds =
       static_cast<double>(scheduler.mappingEngineNanos()) * 1e-9;
   result.fairnessScores = scheduler.pruner().fairness().scores();
+  if (scheduler.pctCache() != nullptr) {
+    result.pctCache = scheduler.pctCache()->stats();
+  }
   result.machineUtilization.reserve(machines.size());
   for (const sim::Machine& m : machines) {
     result.machineUtilization.push_back(now > 0 ? m.busyTime() / now : 0.0);

@@ -35,6 +35,11 @@ struct TrialResult {
   /// simulation substrate (event heap, sampling, metrics) diluting the
   /// signal.
   double mappingEngineSeconds = 0.0;
+
+  /// The PCT cache's deterministic work counters (memo hits/misses and the
+  /// decision stages of the deferring check and the proactive walk); all
+  /// zero when SimulationConfig.pctCacheEnabled is off.
+  heuristics::PctCache::Stats pctCache;
 };
 
 /// Runs one workload trial to completion.  Deterministic: the same model,

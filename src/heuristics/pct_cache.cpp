@@ -1,6 +1,7 @@
 #include "heuristics/pct_cache.h"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "prob/arena.h"
@@ -22,11 +23,8 @@ void recycleValues(prob::PmfArena& arena,
   }
 }
 
-void recycleValues(prob::PmfArena& arena,
-                   std::vector<prob::DiscretePmf>& chain) {
-  for (prob::DiscretePmf& pmf : chain) arena.recycle(std::move(pmf));
-  chain.clear();
-}
+/// The bins of an idle machine's availability: a point mass at `now`.
+constexpr double kIdlePointMass[] = {1.0};
 
 }  // namespace
 
@@ -70,12 +68,12 @@ PctCache::MachineEntry& PctCache::entryFor(const sim::Machine& m,
       arena.recycle(std::move(*entry.relTail));
       entry.relTail.reset();
     }
-    if (entry.relChain.has_value()) {
-      recycleValues(arena, *entry.relChain);
-      entry.relChain.reset();
+    if (entry.relAvail.has_value()) {
+      arena.recycle(std::move(*entry.relAvail));
+      entry.relAvail.reset();
     }
     entry.elapsedBin = -2;
-    entry.chainElapsedBin = -2;
+    entry.availElapsedBin = -2;
     entry.valid = true;
     entry.epoch = m.queueEpoch();
     entry.tracked = m.tailTracked();
@@ -158,37 +156,6 @@ double PctCache::appendChance(const sim::Machine& m, sim::Time now,
   return rel.cdfShiftedBy(anchor, deadline);
 }
 
-PctCache::QueueChainView PctCache::queueChain(const sim::Machine& m,
-                                              sim::Time now,
-                                              const sim::TaskPool& pool,
-                                              const sim::ExecutionModel& model) {
-  MachineEntry& entry = entryFor(m, now);
-  const std::int64_t elapsedBin = elapsedBinOf(m, now);
-  if (!entry.relChain.has_value() || entry.chainElapsedBin != elapsedBin) {
-    ++stats_.chainMisses;
-    entry.chainElapsedBin = elapsedBin;
-    prob::PmfArena& arena = prob::PmfArena::local();
-    std::vector<prob::DiscretePmf> chain;
-    if (entry.relChain.has_value()) {
-      chain = std::move(*entry.relChain);
-      recycleValues(arena, chain);
-    }
-    chain.reserve(m.queueLength());
-    prob::DiscretePmf avail = relativeAvailability(m, now, pool, model);
-    const prob::DiscretePmf* prev = &avail;
-    for (const sim::TaskType qType : m.queueTypes()) {
-      chain.push_back(
-          prob::convolveInto(arena, *prev, model.pet(qType, m.id())));
-      prev = &chain.back();
-    }
-    arena.recycle(std::move(avail));
-    entry.relChain = std::move(chain);
-  } else {
-    ++stats_.chainHits;
-  }
-  return QueueChainView{*entry.relChain, binAt(m, now)};
-}
-
 std::optional<prob::DiscretePmf> PctCache::peekAppendPct(
     const sim::Machine& m, sim::Time now, sim::TaskType type) const {
   const auto idx = static_cast<std::size_t>(m.id());
@@ -205,54 +172,92 @@ std::optional<prob::DiscretePmf> PctCache::peekAppendPct(
   return entry.appendByType[typeIdx]->shifted(binAt(m, now));
 }
 
-void PctCache::noteAppend(const sim::Machine& m, sim::Time now,
-                          const sim::TaskPool& pool,
-                          const sim::ExecutionModel& model, sim::TaskType type,
-                          std::uint64_t preEpoch) {
-  const auto idx = static_cast<std::size_t>(m.id());
-  if (idx >= entries_.size()) return;
-  MachineEntry& entry = entries_[idx];
-  if (!entry.valid || entry.epoch != preEpoch ||
-      !entry.relChain.has_value() ||
-      entry.chainElapsedBin != elapsedBinOf(m, now)) {
-    return;  // nothing provably extendable; normal invalidation applies
-  }
-  std::vector<prob::DiscretePmf>& chain = *entry.relChain;
-  // The chain must mirror the pre-dispatch queue (the new task is already
-  // in the machine's queue).
-  if (chain.size() + 1 != m.queueLength()) return;
-  prob::PmfArena& arena = prob::PmfArena::local();
+double PctCache::appendChanceEstimate(const sim::Machine& m, sim::Time now,
+                                      const sim::TaskPool& pool,
+                                      const sim::ExecutionModel& model,
+                                      sim::TaskType type, sim::Time deadline) {
+  if (!m.tracksTail()) return std::numeric_limits<double>::quiet_NaN();
   const prob::DiscretePmf& pet = model.pet(type, m.id());
-  if (chain.empty()) {
-    prob::DiscretePmf avail = relativeAvailability(m, now, pool, model);
-    chain.push_back(prob::convolveInto(arena, avail, pet));
-    arena.recycle(std::move(avail));
-  } else {
-    chain.push_back(prob::convolveInto(arena, chain.back(), pet));
+  if (!m.tailTracked()) {
+    // Empty machine: the tail is the idle point mass at `now`.
+    return prob::convolvedCdfEstimate(kIdlePointMass, binAt(m, now),
+                                      pet.cdfTable(), pet.firstBin(),
+                                      m.binWidth(), deadline);
   }
-  // Adopt the post-dispatch epoch for the surviving chain; the append/tail
-  // memos were derived from the old tail and die with it.
-  recycleValues(arena, entry.appendByType);
-  if (entry.relTail.has_value()) {
-    arena.recycle(std::move(*entry.relTail));
-    entry.relTail.reset();
-  }
-  entry.elapsedBin = -2;
-  entry.epoch = m.queueEpoch();
-  entry.tracked = m.tailTracked();
+  const prob::DiscretePmf& tail = m.tailPctRef(now, pool, model);
+  return prob::convolvedCdfEstimate(tail.probs(), tail.firstBin(),
+                                    pet.cdfTable(), pet.firstBin(),
+                                    tail.binWidth(), deadline);
 }
 
-std::vector<prob::DiscretePmf> PctCache::queuePcts(
-    const sim::Machine& m, sim::Time now, const sim::TaskPool& pool,
-    const sim::ExecutionModel& model) {
-  if (m.queueLength() == 0) return {};
-  const QueueChainView view = queueChain(m, now, pool, model);
-  std::vector<prob::DiscretePmf> absolute;
-  absolute.reserve(view.rel.size());
-  for (const prob::DiscretePmf& rel : view.rel) {
-    absolute.push_back(rel.shifted(view.anchor));
+double PctCache::queuedChanceEstimate(const sim::Machine& m, sim::Time now,
+                                      const sim::TaskPool& pool,
+                                      const sim::ExecutionModel& model,
+                                      std::size_t idx, sim::Time deadline) {
+  if (idx >= prob::kMaxCertifiedChainDepth) {
+    return std::numeric_limits<double>::quiet_NaN();
   }
-  return absolute;
+  MachineEntry& entry = entryFor(m, now);
+  prob::PmfArena& arena = prob::PmfArena::local();
+  const std::vector<sim::TaskType>& types = m.queueTypes();
+  if (entry.suffixEpoch != m.queueEpoch()) {
+    // Keep the levels whose queued types still match the queue's front.
+    std::size_t keep = 0;
+    while (keep < entry.suffixTypes.size() && keep < types.size() &&
+           entry.suffixTypes[keep] == types[keep]) {
+      ++keep;
+    }
+    entry.suffixTypes.resize(keep);
+    const std::size_t keepLevels = keep == 0 ? 0 : keep - 1;
+    while (entry.suffix.size() > keepLevels) {
+      arena.recycle(std::move(entry.suffix.back()));
+      entry.suffix.pop_back();
+    }
+    entry.suffixEpoch = m.queueEpoch();
+  }
+  if (entry.suffixTypes.size() > idx) {
+    ++stats_.chainHits;
+  } else {
+    ++stats_.chainMisses;
+    while (entry.suffixTypes.size() <= idx) {
+      const std::size_t level = entry.suffixTypes.size();
+      const prob::DiscretePmf& pet = model.pet(types[level], m.id());
+      entry.suffixTypes.push_back(types[level]);
+      if (level == 0) continue;  // S_0 is the PET itself
+      const prob::DiscretePmf& prev =
+          level == 1 ? model.pet(types[0], m.id()) : entry.suffix.back();
+      entry.suffix.push_back(prob::convolveInto(arena, prev, pet));
+      if (entry.suffixCdf.size() < level) entry.suffixCdf.resize(level);
+      const std::span<const double> probs = entry.suffix.back().probs();
+      std::vector<double>& cdf = entry.suffixCdf[level - 1];
+      cdf.resize(probs.size() + 1);
+      cdf[0] = 0.0;
+      for (std::size_t i = 0; i < probs.size(); ++i) {
+        cdf[i + 1] = cdf[i] + probs[i];
+      }
+    }
+  }
+  const prob::DiscretePmf& s =
+      idx == 0 ? model.pet(types[0], m.id()) : entry.suffix[idx - 1];
+  const std::span<const double> sCdf =
+      idx == 0 ? s.cdfTable()
+               : std::span<const double>(entry.suffixCdf[idx - 1]);
+  const std::int64_t anchor = binAt(m, now);
+  if (!m.busy()) {
+    // Idle machine (between a completion and the next promotion).
+    return prob::convolvedCdfEstimate(kIdlePointMass, anchor, sCdf,
+                                      s.firstBin(), m.binWidth(), deadline);
+  }
+  const std::int64_t elapsedBin = elapsedBinOf(m, now);
+  if (!entry.relAvail.has_value() || entry.availElapsedBin != elapsedBin) {
+    if (entry.relAvail.has_value()) arena.recycle(std::move(*entry.relAvail));
+    entry.relAvail = relativeAvailability(m, now, pool, model);
+    entry.availElapsedBin = elapsedBin;
+  }
+  const prob::DiscretePmf& avail = *entry.relAvail;
+  return prob::convolvedCdfEstimate(avail.probs(), avail.firstBin() + anchor,
+                                    sCdf, s.firstBin(), avail.binWidth(),
+                                    deadline);
 }
 
 double PctCache::remainingMean(const sim::Machine& m, sim::Time now,

@@ -10,21 +10,29 @@
 //      conditioned on the head task's elapsed execution?"  (the proactive
 //      dropping walk of Fig. 5 steps 4-6).
 //
-// Both answers only change when the machine's (running, queue) configuration
+// Both are asked only to settle `chance <= bar` (prob::certifiedChance), so
+// neither normally needs a convolution: question 1 is estimated from the
+// machine's Eq. 1 tail against the PET's prefix-sum table, question 2 from
+// the running task's conditioned availability against a queue-suffix chain
+// PET(q_0) ⊛ … ⊛ PET(q_i) that no `now` or running task enters.  The
+// exact append PMFs behind question 1 are memoized for the rare decisions
+// the estimates cannot certify (and for appendPct callers).
+//
+// The memos change only when the machine's (running, queue) configuration
 // changes — which sim::Machine announces through its queue-epoch counter —
 // or, for the now-conditioned variants, when the head task's elapsed time
-// crosses a grid bin.  PctCache keys the memoized PMFs on exactly
-// (machine, queue-epoch, head-task elapsed bin) and therefore returns
-// bit-identical results to the uncached recomputation: convolution operates
-// on bin *contents* while absolute anchoring only shifts bin *offsets*, so
-// chains cached on a relative grid can be re-anchored to any `now` with a
-// cheap shift.
+// crosses a grid bin.  PctCache keys them on exactly (machine, queue-epoch,
+// head-task elapsed bin) and therefore returns bit-identical results to the
+// uncached recomputation: convolution operates on bin *contents* while
+// absolute anchoring only shifts bin *offsets*, so PMFs cached on a
+// relative grid can be re-anchored to any `now` with a cheap shift.
 
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "prob/kernels.h"
 #include "prob/pmf.h"
 #include "sim/machine.h"
 #include "sim/task.h"
@@ -34,13 +42,35 @@ namespace hcs::heuristics {
 
 class PctCache {
  public:
+  /// How many `chance <= bar` decisions each stage of
+  /// prob::certifiedChance settled on one decision path.
+  struct StageCounts {
+    std::uint64_t bounds = 0;
+    std::uint64_t estimate = 0;
+    std::uint64_t exact = 0;
+
+    void record(prob::ChanceStage stage) {
+      switch (stage) {
+        case prob::ChanceStage::Bounds: ++bounds; break;
+        case prob::ChanceStage::Estimate: ++estimate; break;
+        case prob::ChanceStage::Exact: ++exact; break;
+      }
+    }
+    std::uint64_t total() const { return bounds + estimate + exact; }
+  };
+
   struct Stats {
     std::uint64_t appendHits = 0;
     std::uint64_t appendMisses = 0;
+    /// Queue-suffix chain levels reused / built (queuedChanceEstimate).
     std::uint64_t chainHits = 0;
     std::uint64_t chainMisses = 0;
     std::uint64_t meanHits = 0;
     std::uint64_t meanMisses = 0;
+    /// Decision stages of the step-10 deferring check and of the proactive
+    /// dropping walk (steps 4-6); not part of hits()/misses().
+    StageCounts deferStages;
+    StageCounts dropStages;
 
     std::uint64_t hits() const { return appendHits + chainHits + meanHits; }
     std::uint64_t misses() const {
@@ -63,29 +93,35 @@ class PctCache {
                       const sim::ExecutionModel& model, sim::TaskType type,
                       sim::Time deadline);
 
-  /// The proactive-pass chain of machine `m` on the relative grid plus the
-  /// shift that re-anchors it to absolute time: rel[i].shifted(anchor) is
-  /// the PCT of queued task i (all earlier queued tasks kept), conditioned
-  /// on the running task's elapsed execution at `now`.
-  ///
-  /// The reference is valid only until the next call on this cache (machine
-  /// entries live in one growable arena).
-  struct QueueChainView {
-    const std::vector<prob::DiscretePmf>& rel;
-    std::int64_t anchor;
-  };
-  QueueChainView queueChain(const sim::Machine& m, sim::Time now,
-                            const sim::TaskPool& pool,
-                            const sim::ExecutionModel& model);
+  /// Certified-estimate form of appendChance: prob::convolvedCdfEstimate
+  /// with a = the machine's Eq. 1 tail and b = PET(type, m), whose prefix-
+  /// sum table the PET carries — O(|tail|), no convolution, no memo entry
+  /// (a dispatch after it goes through the machine's lazy pending append).
+  /// NaN when the machine keeps no Eq. 1 tail.
+  double appendChanceEstimate(const sim::Machine& m, sim::Time now,
+                              const sim::TaskPool& pool,
+                              const sim::ExecutionModel& model,
+                              sim::TaskType type, sim::Time deadline);
 
-  /// Absolute-time PCTs of machine `m`'s queued tasks (element i is the PCT
-  /// of queued task i with every earlier queued task kept), conditioned on
-  /// the running task's elapsed execution at `now` — the chain the proactive
-  /// dropping pass walks.  Empty when the queue is empty.
-  std::vector<prob::DiscretePmf> queuePcts(const sim::Machine& m,
-                                           sim::Time now,
-                                           const sim::TaskPool& pool,
-                                           const sim::ExecutionModel& model);
+  /// Estimate of the Eq. 2 chance of machine `m`'s queued task `idx` with
+  /// every earlier queued task kept — the proactive walk's question —
+  /// from a = the running task's availability conditioned at `now` and
+  /// b = the queue-suffix chain S_idx = PET(q_0) ⊛ … ⊛ PET(q_idx).  S does
+  /// not depend on `now` or on the running task, so it survives elapsed-
+  /// bin changes and appends (see MachineEntry::suffix).  NaN past
+  /// prob::kMaxCertifiedChainDepth.
+  double queuedChanceEstimate(const sim::Machine& m, sim::Time now,
+                              const sim::TaskPool& pool,
+                              const sim::ExecutionModel& model,
+                              std::size_t idx, sim::Time deadline);
+
+  /// Counts one decision of the deferring check / of the proactive walk.
+  void recordDeferStage(prob::ChanceStage stage) {
+    stats_.deferStages.record(stage);
+  }
+  void recordDropStage(prob::ChanceStage stage) {
+    stats_.dropStages.record(stage);
+  }
 
   /// appendPct, but only if the memo is already hot for `m`'s current
   /// configuration — never computes a convolution.  Lets a dispatch reuse
@@ -96,19 +132,6 @@ class PctCache {
   std::optional<prob::DiscretePmf> peekAppendPct(const sim::Machine& m,
                                                  sim::Time now,
                                                  sim::TaskType type) const;
-
-  /// A task of `type` was just appended to machine `m`'s queue (the
-  /// machine's epoch moved from `preEpoch` to its current value by that
-  /// one dispatch).  When the memoized proactive chain was valid for
-  /// `preEpoch` at the same head-elapsed bin, extend it by ONE convolution
-  /// — chain ⊛ PET appended at the right of the same left-fold a rebuild
-  /// would do, so the extended chain is bit-identical to a fresh one —
-  /// instead of letting the epoch bump discard the whole thing (the
-  /// append/tail memos genuinely died with the tail; they are still
-  /// cleared).  No-op when the chain cannot be proven extendable.
-  void noteAppend(const sim::Machine& m, sim::Time now,
-                  const sim::TaskPool& pool, const sim::ExecutionModel& model,
-                  sim::TaskType type, std::uint64_t preEpoch);
 
   /// Memoized pet(running task).conditionalRemainingMean(now − runStart):
   /// the expensive term of a busy machine's expected-ready estimate.  Keyed
@@ -129,10 +152,10 @@ class PctCache {
     bool tracked = false;
     /// Head-task elapsed-execution bin (floored, as conditionalRemaining
     /// floors; -1 when the machine is not busy) at which the untracked
-    /// append entries / the proactive chain were computed.  The tracked
-    /// Eq. 1 tail ignores it.  -2 = not yet computed.
+    /// append entries / the relative availability were computed.  The
+    /// tracked Eq. 1 tail ignores it.  -2 = not yet computed.
     std::int64_t elapsedBin = -2;
-    std::int64_t chainElapsedBin = -2;
+    std::int64_t availElapsedBin = -2;
 
     /// Memoized tailPct ⊛ PET per task type, indexed directly by type (task
     /// types are a small dense range — a flat array beats hashing on the
@@ -144,9 +167,22 @@ class PctCache {
     /// Memoized untracked tail (relative grid), feeding appendByType misses.
     std::optional<prob::DiscretePmf> relTail;
 
-    /// Memoized proactive-pass chain prefixes on a grid relative to `now`'s
-    /// bin: relChain[i] = remaining(elapsed) ⊛ PET(q_0) ⊛ … ⊛ PET(q_i).
-    std::optional<std::vector<prob::DiscretePmf>> relChain;
+    /// Memoized running-task availability on the relative grid (busy
+    /// machines only), feeding queuedChanceEstimate.
+    std::optional<prob::DiscretePmf> relAvail;
+
+    /// Queue-suffix chain S_1..S_L (S_i = PET(q_0) ⊛ … ⊛ PET(q_i); S_0 is
+    /// the PET itself and is not copied), built lazily up to the deepest
+    /// level a proactive check asked for, each with its prefix-sum table in
+    /// a buffer whose capacity is reused across rebuilds.  The levels
+    /// depend only on the queued types, so unlike the memos above they are
+    /// not dropped on every epoch bump: a new epoch re-checks suffixTypes
+    /// against the queue and keeps the levels up to the first mismatch —
+    /// an append keeps them all.
+    std::uint64_t suffixEpoch = 0;
+    std::vector<sim::TaskType> suffixTypes;  ///< q_0..q_L the levels cover
+    std::vector<prob::DiscretePmf> suffix;   ///< S_1..S_L
+    std::vector<std::vector<double>> suffixCdf;
   };
 
   MachineEntry& entryFor(const sim::Machine& m, sim::Time now);

@@ -331,4 +331,44 @@ std::vector<double> successProbabilityBatch(
   return chances;
 }
 
+double convolvedCdfEstimate(std::span<const double> a, std::int64_t aFirst,
+                            std::span<const double> bCdf, std::int64_t bFirst,
+                            double binWidth, double t) {
+  const double cutoff = t + binWidth * 1e-6;
+  if (std::isnan(cutoff)) return cutoff;
+  const std::int64_t na = static_cast<std::int64_t>(a.size());
+  const std::int64_t nb = static_cast<std::int64_t>(bCdf.size()) - 1;
+  const std::int64_t lo = aFirst + bFirst;
+  const std::int64_t span = na + nb - 1;
+  // `below` = number of output bins k in [0, span) whose time
+  // (lo + k)·binWidth sits below the cutoff — the break point of
+  // cdfShiftedBy's scan.  The quotient only seeds the search; the exact
+  // predicate settles it.
+  const double guess = std::ceil(cutoff / binWidth - static_cast<double>(lo));
+  std::int64_t below = 0;
+  if (guess >= static_cast<double>(span)) {
+    below = span;
+  } else if (guess > 0.0) {
+    below = static_cast<std::int64_t>(guess);
+  }
+  while (below > 0 &&
+         static_cast<double>(lo + below - 1) * binWidth >= cutoff) {
+    --below;
+  }
+  while (below < span && static_cast<double>(lo + below) * binWidth < cutoff) {
+    ++below;
+  }
+  // Σᵢ a[i]·F_b[clamp(below − i, 0, nb)]: rows i <= below − nb see all of
+  // b, rows i >= below none of it.
+  const std::int64_t fullEnd = std::clamp<std::int64_t>(below - nb + 1, 0, na);
+  const std::int64_t partEnd = std::clamp<std::int64_t>(below, 0, na);
+  double full = 0.0;
+  for (std::int64_t i = 0; i < fullEnd; ++i) full += a[i];
+  double part = 0.0;
+  for (std::int64_t i = fullEnd; i < partEnd; ++i) {
+    part += a[i] * bCdf[below - i];
+  }
+  return full * bCdf[nb] + part;
+}
+
 }  // namespace hcs::prob

@@ -6,7 +6,7 @@
 // __restrict pointers with a fixed per-output-bin accumulation order, so the
 // compiler can auto-vectorize across bins while every result stays
 // byte-identical to the DiscretePmf member functions.  Consumers that chain
-// operations (machine tail rebuilds, the PCT cache's prefix chains, the
+// operations (machine tail rebuilds, the PCT cache's queue-suffix chains, the
 // scheduler's candidate loops) recycle each dead intermediate back into the
 // arena, making the steady-state path allocation-free.
 //
@@ -16,6 +16,7 @@
 //   conditionalRemainingInto(arena, a, e, s) == a.conditionalRemaining(e)
 //                                               .shifted(s)
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -113,5 +114,94 @@ DiscretePmf conditionalRemainingInto(PmfArena& arena, const DiscretePmf& a,
 /// result vector, one call site), not a fused kernel.
 std::vector<double> successProbabilityBatch(
     std::span<const DiscretePmf* const> pcts, double deadline);
+
+/// Half-width of the band around a pruning bar inside which a certified
+/// chance estimate (see certifiedChance) is not trusted and the exact
+/// convolution runs instead.
+///
+/// Why 1e-9 is safe.  Every PMF is normalized by trimAndNormalize, so its
+/// bins are non-negative and sum to 1 within n·u (u = 2⁻⁵³).  For non-
+/// negative operands every floating-point sum, product and quotient has a
+/// RELATIVE error bound, and relative errors of non-negative terms carry
+/// over to any partial sum of them: a recursive sum of n terms is within
+/// γₙ ≈ n·u of the real sum.  Against the real-number chance V of the same
+/// float inputs:
+///  - the exact path (one convolution with ≤ min(|a|,|b|) terms per bin, a
+///    total over ≤ N bins, a division, a prefix sum over ≤ N bins) lies
+///    within about 3·N·u of V, N = |a|+|b|−1 ≤ kDefaultMaxBins (larger
+///    sizes are capped, change V itself, and always go exact);
+///  - the estimate Σᵢ a[i]·F_b[jᵢ] (a prefix sum over |b| terms, a product,
+///    a sum over |a| terms, and the ≈(|a|+|b|)·u distance of Σa·Σb from 1
+///    that the exact path's normalization removes) lies within about
+///    2·N·u of V.
+/// With N ≤ 4096 the two differ by at most ≈ 5·4096·u ≈ 2.3e-12, over 400×
+/// below the margin.  When the two sides associate a chain differently
+/// (the proactive walk's avail ⊛ (PET₀ ⊛ … ⊛ PETᵢ) against the exact left
+/// fold), each of the ≤ D chain levels adds at most ≈ 2·4096·u ≈ 9.1e-13
+/// per side, so the margin covers chains up to kMaxCertifiedChainDepth.
+/// Outside the band the estimate and the exact chance sit on the same side
+/// of the bar, so `chance <= bar` is decided identically.
+inline constexpr double kCertifiedChanceMargin = 1e-9;
+
+/// Deepest convolution chain (levels per side) whose differently
+/// associated estimate the margin above still certifies:
+/// 2·(256 + 2)·9.1e-13 ≈ 4.7e-10 < kCertifiedChanceMargin.
+inline constexpr std::size_t kMaxCertifiedChainDepth = 256;
+
+/// Estimate of the Eq. 2 chance of a ⊛ b — of
+/// convolveInto(a, b).cdfShiftedBy(0, t) when a and b are PMFs with these
+/// bins — without convolving: Σᵢ a[i]·F_b[jᵢ], where jᵢ counts b's bins
+/// that land below the exact cdfShiftedBy cutoff t + binWidth·1e-6 when
+/// added to a's bin i.  `aFirst`/`bFirst` are absolute first-bin indices
+/// and `bCdf` is b's prefix-sum table (DiscretePmf::cdfTable layout).
+/// Within the forward-error bound documented at kCertifiedChanceMargin of
+/// the exact chance; NaN when t is NaN.
+double convolvedCdfEstimate(std::span<const double> a, std::int64_t aFirst,
+                            std::span<const double> bCdf, std::int64_t bFirst,
+                            double binWidth, double t);
+
+/// Which stage of certifiedChance settled a decision.
+enum class ChanceStage { Bounds, Estimate, Exact };
+
+/// A stand-in for an Eq. 2 chance: `chance <= bar` holds exactly when it
+/// holds for the exact chance (for the bar certifiedChance was given).
+struct CertifiedChance {
+  double chance;
+  ChanceStage stage;
+};
+
+/// Decides `chance <= bar` for a candidate PCT a ⊛ b with support bounds
+/// [candMin, candMax] (bin indices; candMin exact, candMax >= the real last
+/// bin) in three stages, each settling it exactly as the exact chance would:
+///  1. Support bounds: the chance is exactly 0 when every bin misses the
+///     cutoff (deadline + binWidth·1e-6, the arithmetic of
+///     DiscretePmf::cdf), and within the PMF mass tolerance of 1 when every
+///     bin makes it — decisive unless the bar sits within 1e-6 below 1.
+///  2. `estimate()` — a convolvedCdfEstimate of the same chance, or NaN
+///     when the caller cannot certify one — trusted when it sits more than
+///     kCertifiedChanceMargin from the bar and the exact convolution would
+///     not be capped (candMax − candMin + 1 <= kDefaultMaxBins).
+///  3. `exact()`: the Eq. 1/Eq. 2 convolution the reference path runs.
+template <typename EstimateFn, typename ExactFn>
+CertifiedChance certifiedChance(std::int64_t candMin, std::int64_t candMax,
+                                double binWidth, double deadline, double bar,
+                                EstimateFn&& estimate, ExactFn&& exact) {
+  const double cutoff = deadline + binWidth * 1e-6;
+  if (static_cast<double>(candMin) * binWidth >= cutoff) {
+    return {0.0, ChanceStage::Bounds};
+  }
+  if (static_cast<double>(candMax) * binWidth < cutoff &&
+      (bar < 1.0 - 1e-6 || bar >= 1.0)) {
+    return {1.0, ChanceStage::Bounds};
+  }
+  if (candMax - candMin <
+      static_cast<std::int64_t>(DiscretePmf::kDefaultMaxBins)) {
+    const double e = estimate();
+    if (std::abs(e - bar) > kCertifiedChanceMargin) {
+      return {e, ChanceStage::Estimate};
+    }
+  }
+  return {exact(), ChanceStage::Exact};
+}
 
 }  // namespace hcs::prob

@@ -157,6 +157,10 @@ class DiscretePmf {
   /// Whether the prefix-sum table has been built (for tests/benchmarks).
   bool hasCdfCache() const { return cdf_.get() != nullptr; }
 
+  /// The prefix-sum table (size() + 1 entries, element i = mass of the
+  /// first i bins), built on first use like ensureCdfCache().
+  std::span<const double> cdfTable() const { return cdf_.ensure(probs_); }
+
   // --- Transformations (all return new PMFs) --------------------------------
 
   /// Convolution (Eq. 1): distribution of the sum of two independent

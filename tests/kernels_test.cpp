@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <thread>
@@ -379,6 +381,153 @@ TEST(SuccessProbabilityBatch, MatchesPerPmfEvaluation) {
 }
 
 // --- Arena -------------------------------------------------------------------
+
+// --- Certified chance decisions ---------------------------------------------
+
+using hcs::prob::ChanceStage;
+
+/// The staged decision of `convolveInto(a, b).cdfShiftedBy(0, t) <= bar`
+/// for two materialized PMFs.
+hcs::prob::CertifiedChance certifiedConvolvedChance(PmfArena& arena,
+                                                    const DiscretePmf& a,
+                                                    const DiscretePmf& b,
+                                                    double t, double bar) {
+  return hcs::prob::certifiedChance(
+      a.firstBin() + b.firstBin(), a.lastBin() + b.lastBin(), a.binWidth(), t,
+      bar,
+      [&] {
+        return hcs::prob::convolvedCdfEstimate(a.probs(), a.firstBin(),
+                                               b.cdfTable(), b.firstBin(),
+                                               a.binWidth(), t);
+      },
+      [&] { return hcs::prob::convolveInto(arena, a, b).cdfShiftedBy(0, t); });
+}
+
+/// The forward-error bound kCertifiedChanceMargin's comment derives for one
+/// uncapped convolution of N = |a| + |b| − 1 bins: ≈ 5·N·u.
+double documentedEstimateBound(const DiscretePmf& a, const DiscretePmf& b) {
+  return 5.0 * static_cast<double>(a.size() + b.size() - 1) * 0x1p-53;
+}
+
+/// Deadlines the decision must get right: random ones around the joint
+/// support, grid points, cutoffs landing exactly on a grid point, and one
+/// ulp either side of each.
+std::vector<double> probeDeadlines(Rng& rng, const DiscretePmf& a,
+                                   const DiscretePmf& b) {
+  const double w = a.binWidth();
+  const std::int64_t lo = a.firstBin() + b.firstBin();
+  const std::int64_t hi = a.lastBin() + b.lastBin();
+  std::vector<double> ts;
+  for (int k = 0; k < 3; ++k) {
+    ts.push_back(rng.uniform(static_cast<double>(lo - 2) * w,
+                             static_cast<double>(hi + 2) * w));
+    const double grid = static_cast<double>(rng.uniformInt(lo - 1, hi + 1)) * w;
+    for (const double t : {grid, grid - w * 1e-6}) {
+      ts.push_back(t);
+      ts.push_back(std::nextafter(t, -1e300));
+      ts.push_back(std::nextafter(t, 1e300));
+    }
+  }
+  return ts;
+}
+
+/// Bars at, one ulp around, and within 1e-12 … 2e-9 of the exact chance,
+/// plus a random one.
+std::vector<double> probeBars(Rng& rng, double exact) {
+  return {exact,
+          std::nextafter(exact, -1.0),
+          std::nextafter(exact, 2.0),
+          exact - 1e-12,
+          exact + 1e-12,
+          exact + rng.uniform(-1e-12, 1e-12),
+          exact - 5e-10,
+          exact + 5e-10,
+          exact - 2e-9,
+          exact + 2e-9,
+          rng.uniform01()};
+}
+
+TEST(CertifiedChance, StagedDecisionsEqualExactConvolutionDecisions) {
+  Rng rng(1101);
+  PmfArena arena;
+  std::size_t stages[3] = {};
+  for (int c = 0; c < 3000; ++c) {
+    const double width = std::array{1.0, 0.1, 0.25, 0.3}[c % 4];
+    // Every fifth operand is a point mass; first bins go negative too.
+    const auto operand = [&] {
+      if (rng.uniform01() < 0.2) {
+        return DiscretePmf(rng.uniformInt(-40, 40), {1.0}, width);
+      }
+      return randomPmf(rng, 120, width);
+    };
+    const DiscretePmf a = operand();
+    const DiscretePmf b = operand();
+    for (const double t : probeDeadlines(rng, a, b)) {
+      const double exact =
+          hcs::prob::convolveInto(arena, a, b).cdfShiftedBy(0, t);
+      const double estimate = hcs::prob::convolvedCdfEstimate(
+          a.probs(), a.firstBin(), b.cdfTable(), b.firstBin(), width, t);
+      ASSERT_LE(std::abs(estimate - exact), documentedEstimateBound(a, b))
+          << "case " << c << " t=" << t;
+      for (const double bar : probeBars(rng, exact)) {
+        const hcs::prob::CertifiedChance got =
+            certifiedConvolvedChance(arena, a, b, t, bar);
+        ASSERT_EQ(got.chance <= bar, exact <= bar)
+            << "case " << c << " t=" << t << " bar=" << bar;
+        ++stages[static_cast<int>(got.stage)];
+      }
+    }
+  }
+  // All three stages must actually have decided something.
+  EXPECT_GT(stages[static_cast<int>(ChanceStage::Bounds)], 1000u);
+  EXPECT_GT(stages[static_cast<int>(ChanceStage::Estimate)], 10000u);
+  EXPECT_GT(stages[static_cast<int>(ChanceStage::Exact)], 10000u);
+}
+
+TEST(CertifiedChance, WideSupportsStayWithinTheDocumentedBound) {
+  // Near the kDefaultMaxBins ceiling, where the bound is loosest.
+  Rng rng(1102);
+  PmfArena arena;
+  for (int c = 0; c < 40; ++c) {
+    const DiscretePmf a = randomPmf(rng, 2048, 0.1);
+    const DiscretePmf b = randomPmf(rng, 2048, 0.1);
+    for (const double t : probeDeadlines(rng, a, b)) {
+      const double exact =
+          hcs::prob::convolveInto(arena, a, b).cdfShiftedBy(0, t);
+      const double estimate = hcs::prob::convolvedCdfEstimate(
+          a.probs(), a.firstBin(), b.cdfTable(), b.firstBin(), 0.1, t);
+      ASSERT_LE(std::abs(estimate - exact), documentedEstimateBound(a, b))
+          << "case " << c << " t=" << t;
+      ASSERT_LT(documentedEstimateBound(a, b),
+                hcs::prob::kCertifiedChanceMargin);
+    }
+  }
+}
+
+TEST(CertifiedChance, CappedConvolutionsTakeTheExactPath) {
+  // |a| + |b| − 1 > kDefaultMaxBins: the exact chance comes from a capped
+  // PCT whose folded tail no estimate models, so stage 2 must not run.
+  Rng rng(1103);
+  PmfArena arena;
+  for (int c = 0; c < 10; ++c) {
+    std::vector<double> pa(2100 + static_cast<std::size_t>(c) * 37);
+    std::vector<double> pb(2100);
+    for (double& p : pa) p = rng.uniform(0.01, 1.0);
+    for (double& p : pb) p = rng.uniform(0.01, 1.0);
+    const DiscretePmf a(-5, std::move(pa));
+    const DiscretePmf b(3, std::move(pb));
+    ASSERT_GT(a.size() + b.size() - 1, DiscretePmf::kDefaultMaxBins);
+    const double t = static_cast<double>(a.firstBin() + b.firstBin()) +
+                     static_cast<double>(a.size() + b.size()) / 2.0;
+    const double exact = hcs::prob::convolveInto(arena, a, b).cdf(t);
+    for (const double bar : probeBars(rng, exact)) {
+      const hcs::prob::CertifiedChance got =
+          certifiedConvolvedChance(arena, a, b, t, bar);
+      EXPECT_EQ(got.stage, ChanceStage::Exact);
+      EXPECT_EQ(got.chance, exact);
+    }
+  }
+}
 
 TEST(PmfArenaTest, RecycledCapacityIsReusedWithoutAllocation) {
   PmfArena arena;

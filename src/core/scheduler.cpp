@@ -85,14 +85,6 @@ void Scheduler::beginTrial(const World& world) {
       ctx_->attachBatchQueue(&batchQueue_);
     }
   }
-  if (mode_ == AllocationMode::Batch) {
-    // The mutation journal exists for the two-phase heuristics' bucket
-    // sync; when no persistent context (reference engine) or no queue-
-    // consuming heuristic is attached, nobody ever replays it — stop
-    // recording instead of growing an unread log for the whole trial.
-    batchQueue_.setJournalRecording(ctx_.has_value() &&
-                                    batch_->consumesBatchQueue());
-  }
 }
 
 void Scheduler::handleArrival(World& world, sim::TaskId task, sim::Time now) {
@@ -101,6 +93,7 @@ void Scheduler::handleArrival(World& world, sim::TaskId task, sim::Time now) {
   emit(now, sim::TraceEventKind::Arrival, task);
   if (mode_ == AllocationMode::Batch) {
     batchQueue_.push(task);
+    trackDeadline(world, task);
     mappingEvent(world, now);
     return;
   }
@@ -128,6 +121,11 @@ void Scheduler::handleArrival(World& world, sim::TaskId task, sim::Time now) {
     throw std::logic_error("Scheduler: heuristic chose an invalid machine");
   }
   dispatch(world, task, machine, now);
+  // Filed only now: during its own event's reactive pass the task sat in
+  // no queue.  A task that started at once has nothing left to drop.
+  if (world.pool[task].status == sim::TaskStatus::Queued) {
+    trackDeadline(world, task);
+  }
 }
 
 void Scheduler::handleCompletion(World& world, sim::MachineId machine,
@@ -154,8 +152,10 @@ void Scheduler::handleCompletion(World& world, sim::MachineId machine,
   // passes must see (and may drop) the queue's head first; idle machines
   // start their surviving head task at the end of the event.
   m.finishRunning(now, world.pool, world.model);
+  leftIdle_.push_back(machine);
   // Terminal and fully unlinked: under a recycling pool (streaming mode)
   // the slot is free for the next arrival.  No-op otherwise.
+  untrack(task);
   world.pool.retire(task);
   mappingEvent(world, now);
 }
@@ -243,15 +243,36 @@ void Scheduler::mappingEvent(World& world, sim::Time now) {
 }
 
 void Scheduler::startIdleMachines(World& world, sim::Time now) {
-  for (sim::Machine& m : world.machines) {
+  // Only a completion or an abort in this event leaves an online machine
+  // idle with work queued: a dispatch to an empty machine starts at once,
+  // and every earlier event ended with its idle machines started.
+  // Ascending id keeps the Started events — and the completion sequence
+  // numbers and execution draws behind them — in machine order.
+  std::sort(leftIdle_.begin(), leftIdle_.end());
+  for (const sim::MachineId id : leftIdle_) {
+    sim::Machine& m = world.machines[static_cast<std::size_t>(id)];
     if (!m.online()) continue;
     const sim::TaskId started =
         m.startNextIfIdle(now, world.pool, world.model);
     if (started != sim::kInvalidTask) {
-      emit(now, sim::TraceEventKind::Started, started, m.id());
-      scheduleCompletion(world, m.id(), started, now);
+      emit(now, sim::TraceEventKind::Started, started, id);
+      scheduleCompletion(world, id, started, now);
     }
   }
+  leftIdle_.clear();
+}
+
+void Scheduler::trackDeadline(const World& world, sim::TaskId task) {
+  if (!config_.pruning.reactiveDropEnabled) return;
+  const auto slot = static_cast<std::size_t>(task);
+  if (custody_.size() <= slot) custody_.resize(slot + 1, 0);
+  custody_[slot] = ++nextStamp_;
+  deadlines_.push(DeadlineEntry{world.pool[task].deadline, nextStamp_, task});
+}
+
+void Scheduler::untrack(sim::TaskId task) {
+  const auto slot = static_cast<std::size_t>(task);
+  if (slot < custody_.size()) custody_[slot] = 0;
 }
 
 void Scheduler::dropTask(World& world, sim::TaskId task, sim::Time now,
@@ -275,6 +296,7 @@ void Scheduler::dropTask(World& world, sim::TaskId task, sim::Time now,
       throw std::logic_error("dropTask: not a drop status");
   }
   emit(now, kind, task, t.machine);
+  untrack(task);
   if (reason == sim::TaskStatus::DroppedProactive) {
     accounting_.recordProactiveDrop(t.type);
     // Fig. 5 step 6: gamma_k <- gamma_k + c on a *proactive* drop.  (§IV-D's
@@ -294,6 +316,10 @@ void Scheduler::dropTask(World& world, sim::TaskId task, sim::Time now,
 }
 
 void Scheduler::retryOrAbandon(World& world, sim::TaskId task, sim::Time now) {
+  // Retried or abandoned, the task leaves this scheduler: a retry re-enters
+  // through handleArrival, possibly of another federation cluster sharing
+  // the pool.
+  untrack(task);
   sim::Task& t = world.pool[task];
   t.machine = sim::kInvalidMachine;
   t.status = sim::TaskStatus::Created;
@@ -330,21 +356,40 @@ void Scheduler::retryOrAbandon(World& world, sim::TaskId task, sim::Time now) {
 }
 
 void Scheduler::reactiveDropPass(World& world, sim::Time now) {
-  // Batch (arrival) queue: collect the overdue tasks, then drop them in
-  // arrival order (identical drop order to the old in-iteration erase).
+  // Pop the overdue entries (missedDeadline: now > deadline).  A live one
+  // names a task this scheduler holds: in the batch queue, in a machine
+  // queue, or running — past saving only under the abort-at-deadline
+  // policy, handled separately; a running task re-enters a queue only
+  // through a retry, which files it afresh.
   overdueScratch_.clear();
-  batchQueue_.forEachLive([&](sim::TaskId id, std::uint64_t /*seq*/) {
-    if (world.pool[id].missedDeadline(now)) overdueScratch_.push_back(id);
-  });
+  overdueMachines_.clear();
+  while (!deadlines_.empty() && now > deadlines_.top().deadline) {
+    const DeadlineEntry e = deadlines_.top();
+    deadlines_.pop();
+    if (custody_[static_cast<std::size_t>(e.task)] != e.stamp) continue;
+    if (batchQueue_.contains(e.task)) {
+      overdueScratch_.push_back(e.task);
+    } else if (world.pool[e.task].status == sim::TaskStatus::Queued) {
+      overdueMachines_.push_back(world.pool[e.task].machine);
+    }
+  }
+  // Batch (arrival) queue drops in arrival order, then machine queues in
+  // ascending id, each rescanned in queue order — the order of a full scan.
+  std::sort(overdueScratch_.begin(), overdueScratch_.end(),
+            [&](sim::TaskId a, sim::TaskId b) {
+              return batchQueue_.arrivalSeq(a) < batchQueue_.arrivalSeq(b);
+            });
   for (sim::TaskId id : overdueScratch_) {
     batchQueue_.remove(id);
     dropTask(world, id, now, sim::TaskStatus::DroppedReactive);
   }
-  // Machine queues (the running task is past saving only under the
-  // abort-at-deadline policy, handled separately).  The overdue list is a
-  // member scratch — this pass runs at every mapping event and is almost
-  // always empty.
-  for (sim::Machine& m : world.machines) {
+  std::sort(overdueMachines_.begin(), overdueMachines_.end());
+  overdueMachines_.erase(
+      std::unique(overdueMachines_.begin(), overdueMachines_.end()),
+      overdueMachines_.end());
+  reactiveRescans_ += overdueMachines_.size();
+  for (const sim::MachineId j : overdueMachines_) {
+    sim::Machine& m = world.machines[static_cast<std::size_t>(j)];
     overdueScratch_.clear();
     for (sim::TaskId id : m.queue()) {
       if (world.pool[id].missedDeadline(now)) overdueScratch_.push_back(id);
@@ -647,6 +692,7 @@ void Scheduler::abortOverdueRunning(World& world, sim::Time now) {
     world.events.cancel(completionSeq_[static_cast<std::size_t>(m.id())]);
     const sim::Time started = world.pool[running].startTime;
     m.abortRunning(now, world.pool, world.model);
+    leftIdle_.push_back(m.id());
     emit(now, sim::TraceEventKind::Aborted, running, m.id());
     dropTask(world, running, now, sim::TaskStatus::DroppedReactive);
     world.metrics.recordExecution(m.id(), now - started, /*useful=*/false);

@@ -20,6 +20,7 @@
 
 #include <memory>
 #include <optional>
+#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -64,6 +65,9 @@ class Scheduler {
   /// Null when the config disabled PCT memoization.
   const heuristics::PctCache* pctCache() const { return pctCache_.get(); }
   std::size_t mappingEvents() const { return mappingEvents_; }
+  /// Machine queues the reactive pass rescanned — only those holding an
+  /// overdue queued task (a deterministic work counter).
+  std::size_t reactiveRescans() const { return reactiveRescans_; }
   std::size_t batchQueueLength() const { return batchQueue_.size(); }
   /// Accumulated batch-mapping wall clock (measureMappingEngine only).
   std::uint64_t mappingEngineNanos() const { return engineNanos_; }
@@ -109,13 +113,7 @@ class Scheduler {
 
   /// Oldest live task in the batch (arrival) queue, kInvalidTask when
   /// empty — the chance_slo controller policy's observation point.
-  sim::TaskId batchQueueHead() const {
-    sim::TaskId head = sim::kInvalidTask;
-    batchQueue_.forEachLive([&](sim::TaskId id, std::uint64_t /*seq*/) {
-      if (head == sim::kInvalidTask) head = id;
-    });
-    return head;
-  }
+  sim::TaskId batchQueueHead() const { return batchQueue_.front(); }
 
   /// Drains bookkeeping after the last event (e.g. tasks still waiting in
   /// the batch queue when the trial ends count as reactive drops if they
@@ -145,6 +143,13 @@ class Scheduler {
                      sim::Time now) const;
   void startIdleMachines(World& world, sim::Time now);      // step 11 tail
   void mappingEvent(World& world, sim::Time now);           // the whole figure
+
+  /// Files a task that just entered one of this scheduler's queues in the
+  /// reactive pass's deadline index (no-op with reactive dropping off).
+  void trackDeadline(const World& world, sim::TaskId task);
+  /// The task left this scheduler — terminal, or handed to the retry
+  /// policy — so its index entry is void.
+  void untrack(sim::TaskId task);
 
   void dropTask(World& world, sim::TaskId task, sim::Time now,
                 sim::TaskStatus reason);
@@ -184,9 +189,35 @@ class Scheduler {
   /// Pending completion-event sequence number per machine (for aborts);
   /// sized once per trial in beginTrial.
   std::vector<std::uint64_t> completionSeq_;
-  /// Reusable drop-candidate list for the reactive pass (runs at every
-  /// mapping event and is almost always empty).
+  /// The reactive pass's deadline index: a min-heap with one entry per
+  /// task filed by trackDeadline.  An entry is live while its stamp is the
+  /// one custody_ holds for the task's slot; untrack, a re-filing (a retry
+  /// re-entering this scheduler) and slot recycling all leave it stale, and
+  /// stale entries are discarded as they pop.  The pass pops only overdue
+  /// entries, so it is O(1) when nothing is overdue.
+  struct DeadlineEntry {
+    sim::Time deadline = 0;
+    std::uint64_t stamp = 0;
+    sim::TaskId task = sim::kInvalidTask;
+  };
+  struct LaterDeadline {
+    bool operator()(const DeadlineEntry& a, const DeadlineEntry& b) const {
+      return a.deadline > b.deadline;
+    }
+  };
+  std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
+                      LaterDeadline>
+      deadlines_;
+  /// Per task slot: the stamp of its live index entry, 0 when none.
+  std::vector<std::uint64_t> custody_;
+  std::uint64_t nextStamp_ = 0;
+  /// Reusable per-pass lists of the reactive pass: overdue batch-queue
+  /// tasks, then machine ids to rescan.
   std::vector<sim::TaskId> overdueScratch_;
+  std::vector<sim::MachineId> overdueMachines_;
+  /// Machines a completion or an abort left idle in the current event —
+  /// the only ones startIdleMachines has to visit.
+  std::vector<sim::MachineId> leftIdle_;
   /// Queue contents of a failing machine (goOffline's FIFO hand-back).
   std::vector<sim::TaskId> orphanScratch_;
   /// Drop-candidate list for the proactive pass — its own buffer, not an
@@ -200,6 +231,7 @@ class Scheduler {
   std::vector<sim::TaskId> candidateScratch_;
   std::unordered_set<sim::TaskId> deferredScratch_;
   std::size_t mappingEvents_ = 0;
+  std::size_t reactiveRescans_ = 0;
   std::uint64_t engineNanos_ = 0;
 };
 

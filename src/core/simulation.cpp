@@ -81,9 +81,7 @@ TrialResult Simulation::run() {
 
   if (!streaming) {
     for (const workload::TaskSpec& spec : workload_->tasks()) {
-      const sim::TaskId id =
-          pool.create(spec.type, spec.arrival, spec.deadline, spec.value);
-      events.push(spec.arrival, sim::EventKind::TaskArrival, id);
+      pool.create(spec.type, spec.arrival, spec.deadline, spec.value);
     }
   }
 
@@ -105,10 +103,8 @@ TrialResult Simulation::run() {
     controller->beginTrial(events, machines, pool);
   }
 
-  // Fault injection arms AFTER the arrivals are pushed, so arrivals keep
-  // the lower sequence numbers (and win time ties); an inactive config
-  // schedules nothing and the trial is byte-identical to the fault-free
-  // engine.
+  // An inactive fault config schedules nothing and the trial is byte-
+  // identical to the fault-free engine.
   std::optional<sim::FaultInjector> injector;
   if (config_.faults.active()) {
     injector.emplace(config_.faults, config_.faultSeed, machines.size());
@@ -138,7 +134,16 @@ TrialResult Simulation::run() {
   // trial learns its task count as the stream drains: it is over once the
   // stream is dry AND everything created went terminal.
   const std::size_t totalTasks = pool.size();
+  // Every handled arrival, retry re-entries included.
   std::size_t arrivalsSeen = 0;
+  // The next materialized arrival (create() numbered the tasks 0..N-1 in
+  // arrival order); retries never move it.
+  std::size_t arrivalCursor = 0;
+  const auto peekArrival = [&]() -> const workload::TaskSpec* {
+    if (streaming) return stream_->peek();
+    return arrivalCursor < totalTasks ? &workload_->tasks()[arrivalCursor]
+                                      : nullptr;
+  };
   const auto allTerminal = [&]() {
     if (streaming) {
       return stream_->peek() == nullptr &&
@@ -168,28 +173,28 @@ TrialResult Simulation::run() {
   };
   sim::Time now = 0;
   for (;;) {
-    // Streamed arrivals bypass the event queue: the next task is created
-    // (and its slot allocated) only when its arrival time is due.  At equal
-    // times the arrival wins — exactly the materialized tie-break, where
-    // up-front arrival pushes hold the lowest sequence numbers.  TaskArrival
-    // events *in the queue* are then only retry re-entries, same as the
-    // materialized engine's.
-    if (streaming) {
-      const workload::TaskSpec* next = stream_->peek();
-      if (next != nullptr &&
-          (events.empty() || next->arrival <= events.top().time)) {
+    // Arrivals bypass the event queue: they are served in order off the
+    // workload (a cursor) or the stream, and win every time tie — the rule
+    // the federated gateway loop follows too.  A streamed task is created
+    // (and its slot allocated) only when its arrival time is due.
+    // TaskArrival events *in the queue* are only retry re-entries.
+    const workload::TaskSpec* next = peekArrival();
+    if (next != nullptr &&
+        (events.empty() || next->arrival <= events.top().time)) {
+      now = next->arrival;
+      sim::TaskId id;
+      if (streaming) {
         const workload::TaskSpec spec = stream_->pop();
-        now = spec.arrival;
-        const sim::TaskId id =
-            pool.create(spec.type, spec.arrival, spec.deadline, spec.value);
-        ++arrivalsSeen;
-        scheduler.handleArrival(world, id, now);
-        if ((injector.has_value() || controller.has_value()) &&
-            allTerminal()) {
-          break;
-        }
-        continue;
+        id = pool.create(spec.type, spec.arrival, spec.deadline, spec.value);
+      } else {
+        id = static_cast<sim::TaskId>(arrivalCursor++);
       }
+      ++arrivalsSeen;
+      scheduler.handleArrival(world, id, now);
+      if ((injector.has_value() || controller.has_value()) && allTerminal()) {
+        break;
+      }
+      continue;
     }
     auto event = events.tryPop();
     if (!event.has_value()) break;

@@ -46,9 +46,9 @@ struct TrialResult {
 /// workload, and config always produce the same result.
 ///
 /// Two arrival paths share one engine:
-///  - materialized (a Workload): every task is created and its arrival
-///    event pushed up front — the paper-scale path, byte-identical to every
-///    golden ever recorded;
+///  - materialized (a Workload): every task is created up front and the
+///    arrivals are served in order off the workload — the paper-scale path,
+///    byte-identical to every golden ever recorded;
 ///  - streamed (a TaskStream): tasks are created on pop, completed tasks
 ///    return their TaskPool slots, warm-up trimming is decided online, and
 ///    memory stays bounded by the in-flight window however long the stream

@@ -49,13 +49,15 @@ class BatchHeuristic {
   virtual std::vector<Assignment> map(const MappingContext& ctx,
                                       std::span<const sim::TaskId> batch) = 0;
 
-  /// True when this heuristic reads candidates straight from
+  /// True when this heuristic can read candidates straight from
   /// ctx.batchQueue() (live, non-deferred tasks in arrival order — the
   /// same set a span would carry).  The incremental engine then skips the
-  /// per-round candidate-vector rebuild and passes an empty span; the
-  /// heuristic keeps its derived structures in sync through the queue's
-  /// mutation journal.  Heuristics that ignore the queue keep receiving
-  /// the span either way.
+  /// per-round candidate-vector rebuild on wide rounds and passes an empty
+  /// span.  How the heuristic reads the queue is its own business: walking
+  /// it from the head, or keeping a derived index that replays the queue's
+  /// mutation journal (the journal records only once some consumer asks
+  /// for it).  Heuristics that ignore the queue keep receiving the span
+  /// either way.
   virtual bool consumesBatchQueue() const { return false; }
 };
 

@@ -22,22 +22,32 @@ double minExpectedExec(const MappingContext& ctx, sim::TaskType type) {
 std::vector<Assignment> FcfsRoundRobin::map(
     const MappingContext& ctx, std::span<const sim::TaskId> batch) {
   const int m = ctx.numMachines();
-  std::vector<std::size_t> slots(static_cast<std::size_t>(m));
+  slots_.resize(static_cast<std::size_t>(m));
   for (sim::MachineId j = 0; j < m; ++j) {
-    slots[static_cast<std::size_t>(j)] = ctx.freeSlots(j);
+    slots_[static_cast<std::size_t>(j)] = ctx.freeSlots(j);
   }
   std::vector<Assignment> result;
-  for (sim::TaskId task : batch) {
-    // Next machine in cyclic order with a free slot.
+  // Places `task` on the next machine in cyclic order with a free slot;
+  // false when no machine has space (a full probe cycle leaves next_ as it
+  // was).
+  const auto place = [&](sim::TaskId task) {
     int probes = 0;
-    while (probes < m && slots[static_cast<std::size_t>(next_)] == 0) {
+    while (probes < m && slots_[static_cast<std::size_t>(next_)] == 0) {
       next_ = (next_ + 1) % m;
       ++probes;
     }
-    if (probes == m) break;  // no machine has space
+    if (probes == m) return false;
     result.push_back(Assignment{task, next_});
-    slots[static_cast<std::size_t>(next_)] -= 1;
+    slots_[static_cast<std::size_t>(next_)] -= 1;
     next_ = (next_ + 1) % m;
+    return true;
+  };
+  if (batch.empty() && ctx.persistent() && ctx.batchQueue() != nullptr) {
+    ctx.batchQueue()->forEachCandidate(place);
+  } else {
+    for (sim::TaskId task : batch) {
+      if (!place(task)) break;
+    }
   }
   return result;
 }

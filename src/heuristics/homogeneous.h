@@ -16,15 +16,23 @@
 namespace hcs::heuristics {
 
 /// First Come First Served - Round Robin: tasks in arrival order, each to
-/// the next machine (cyclically) with a free queue slot.
+/// the next machine (cyclically) with a free queue slot, until no machine
+/// has one.
+///
+/// Only the oldest K = (free slots) candidates are ever read, so on an
+/// empty span with a persistent, queue-attached context (wide rounds) it
+/// walks the queue from its head cursor and stops there — O(K) per call,
+/// with no derived index to keep in sync.
 class FcfsRoundRobin final : public BatchHeuristic {
  public:
   std::string_view name() const override { return "FCFS-RR"; }
   std::vector<Assignment> map(const MappingContext& ctx,
                               std::span<const sim::TaskId> batch) override;
+  bool consumesBatchQueue() const override { return true; }
 
  private:
   int next_ = 0;
+  std::vector<std::size_t> slots_;
 };
 
 /// The shared engine of EDF and SJF: tasks ordered by a static per-task

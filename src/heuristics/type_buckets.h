@@ -1,7 +1,8 @@
 #pragma once
 // Per-task-type views of the incremental engine's batch queue — the one
-// index every queue-reading batch heuristic keeps (the two-phase engine's
-// phase-2 candidates, EDF/SJF's ordered head).
+// index the ordering queue readers keep (the two-phase engine's phase-2
+// candidates, EDF/SJF's ordered head; FCFS-RR reads the queue's own
+// arrival order and needs none).
 //
 // Each bucket holds one type's queued tasks sorted by (key, arrival seq),
 // the key being a static per-task value the consumer supplies (a constant
@@ -9,7 +10,7 @@
 // mutation journal since the previous call — O(what changed) per mapping
 // event — and rebuilds from the live queue only when the history it holds
 // is void: another queue, pool or execution model, or a reset generation
-// bump.  A removal tombstones its entry instead of memmoving the bucket
+// bump (the first sync starts the queue's journal, which bumps it).  A removal tombstones its entry instead of memmoving the bucket
 // (dead entries keep their (key, seq), so binary searches stay exact), a
 // per-type head hops the dead prefix — the common death site, since
 // winners are heads — and a bucket is compacted once its tombstones
@@ -95,6 +96,7 @@ class TypeBuckets {
 template <class KeyFn>
 void TypeBuckets::sync(const MappingContext& ctx, const KeyFn& key) {
   const sim::BatchQueue& queue = *ctx.batchQueue();
+  queue.requestJournal();
   const auto numTypes = static_cast<std::size_t>(ctx.model().numTaskTypes());
   bool rebuild = queue_ != &queue ||
                  resetGen_ != queue.resetGeneration() ||

@@ -12,11 +12,18 @@
 // tombstones are compacted away amortized-O(1) when they outnumber the
 // live entries.
 //
-// Consumers that keep derived structures (the two-phase heuristics'
-// per-type buckets) stay in sync *without rescanning*: every task carries a
-// stable arrival sequence number, and every push/remove is appended to a
-// mutation journal the consumer replays from its last position — per
-// mapping event that is O(what changed), not O(queue).
+// A head cursor skips the removed prefix, so a reader that only needs the
+// oldest few candidates (FCFS-RR's K free slots, the queue front) walks
+// O(K) entries instead of O(queue): dispatch removes tasks mostly from the
+// front, and those tombstones are never revisited.
+//
+// Consumers that keep derived structures (the per-type buckets of the
+// two-phase heuristics and EDF/SJF) stay in sync *without rescanning*:
+// every task carries a stable arrival sequence number, and every push/
+// remove is appended to a mutation journal the consumer replays from its
+// last position — per mapping event that is O(what changed), not O(queue).
+// Recording starts at the first consumer's requestJournal(), so a queue
+// nobody replays never grows a journal.
 
 #include <cstdint>
 #include <vector>
@@ -55,6 +62,12 @@ class BatchQueue {
     }
   }
 
+  /// The oldest live task, kInvalidTask when empty — O(1) off the head
+  /// cursor.
+  TaskId front() const {
+    return head_ < entries_.size() ? entries_[head_].task : kInvalidTask;
+  }
+
   bool contains(TaskId task) const {
     const auto idx = static_cast<std::size_t>(task);
     return idx < posByTask_.size() && posByTask_[idx] != kNoPos;
@@ -70,6 +83,13 @@ class BatchQueue {
     if (journalRecording_) {
       journal_.push_back(JournalEntry{JournalEntry::Op::Remove, task,
                                       entries_[pos].arrivalSeq});
+    }
+    if (pos == head_) {
+      // Each tombstone is hopped once: the cursor only moves forward until
+      // a compaction (or clear) re-bases every position.
+      while (head_ < entries_.size() && entries_[head_].task == kInvalidTask) {
+        ++head_;
+      }
     }
     maybeCompact();
   }
@@ -98,8 +118,23 @@ class BatchQueue {
   /// scheduler's existing drop idiom).
   template <class Fn>
   void forEachLive(Fn&& fn) const {
-    for (const Entry& e : entries_) {
+    for (std::size_t i = head_; i < entries_.size(); ++i) {
+      const Entry& e = entries_[i];
       if (e.task != kInvalidTask) fn(e.task, e.arrivalSeq);
+    }
+  }
+
+  /// Calls `fn(taskId)` for the live tasks not deferred this event, in
+  /// arrival order, until `fn` returns false — the bounded walk of a reader
+  /// that needs only the oldest candidates.  `fn` must not mutate the
+  /// queue.
+  template <class Fn>
+  void forEachCandidate(Fn&& fn) const {
+    for (std::size_t i = head_; i < entries_.size(); ++i) {
+      const Entry& e = entries_[i];
+      if (e.task != kInvalidTask && e.deferGen != eventGen_ && !fn(e.task)) {
+        return;
+      }
     }
   }
 
@@ -108,38 +143,36 @@ class BatchQueue {
   void liveCandidates(std::vector<TaskId>& out) const {
     out.clear();
     out.reserve(liveCount_);
-    for (const Entry& e : entries_) {
-      if (e.task != kInvalidTask && e.deferGen != eventGen_) {
-        out.push_back(e.task);
-      }
-    }
+    forEachCandidate([&](TaskId task) {
+      out.push_back(task);
+      return true;
+    });
   }
 
   // --- Mutation journal --------------------------------------------------
 
-  /// Monotone count of mutations since the last reset; journal_[i] is the
-  /// i-th mutation.  A consumer that remembers its last position replays
-  /// exactly the delta.  The journal lives until clear() — bounded by two
-  /// entries per task of the trial, the same order as the task pool itself.
+  /// Monotone count of mutations since recording started (or the last
+  /// clear); journal_[i] is the i-th mutation.  A consumer that remembers
+  /// its last position replays exactly the delta.  The journal lives until
+  /// clear() — bounded by two entries per task of the trial, the same order
+  /// as the task pool itself.
   std::size_t journalSize() const { return journal_.size(); }
   const JournalEntry& journalAt(std::size_t i) const { return journal_[i]; }
 
-  /// Bumped whenever history is discarded (clear); consumers holding a
-  /// journal position from another generation must rebuild from scratch.
+  /// Bumped whenever history is discarded (clear) or recording starts;
+  /// consumers holding a journal position from another generation must
+  /// rebuild from the live queue.
   std::uint64_t resetGeneration() const { return resetGen_; }
 
-  /// Turns mutation recording off (and back on) for queues nobody will
-  /// ever replay — the reference engine and non-queue-consuming heuristics
-  /// otherwise pay an append (and the journal's unbounded growth) per
-  /// mutation for nothing.  Re-enabling counts as discarding history:
-  /// mutations made while recording was off are gone, so consumers holding
-  /// a position must rebuild — the reset generation is bumped to force it.
-  void setJournalRecording(bool on) {
-    if (on && !journalRecording_) {
-      journal_.clear();
-      ++resetGen_;
-    }
-    journalRecording_ = on;
+  /// Called by a journal consumer before every replay: the first call
+  /// starts recording.  The mutations before it were never recorded, so
+  /// the reset generation is bumped and the consumer rebuilds from the
+  /// live queue.  The journal is replay bookkeeping, not queue contents,
+  /// hence callable on a const queue.
+  void requestJournal() const {
+    if (journalRecording_) return;
+    journalRecording_ = true;
+    ++resetGen_;
   }
 
   void clear() {
@@ -151,6 +184,7 @@ class BatchQueue {
     entries_.clear();
     journal_.clear();
     liveCount_ = 0;
+    head_ = 0;
     ++resetGen_;
   }
 
@@ -166,13 +200,15 @@ class BatchQueue {
   void maybeCompact() {
     if (entries_.size() < 16 || liveCount_ * 2 >= entries_.size()) return;
     std::size_t write = 0;
-    for (const Entry& e : entries_) {
+    for (std::size_t i = head_; i < entries_.size(); ++i) {
+      const Entry e = entries_[i];
       if (e.task == kInvalidTask) continue;
       posByTask_[static_cast<std::size_t>(e.task)] =
           static_cast<std::uint32_t>(write);
       entries_[write++] = e;
     }
     entries_.resize(write);
+    head_ = 0;
   }
 
   std::vector<Entry> entries_;  ///< arrival order, with tombstones
@@ -181,10 +217,13 @@ class BatchQueue {
   std::vector<std::uint32_t> posByTask_;
   std::vector<JournalEntry> journal_;
   std::size_t liveCount_ = 0;
-  bool journalRecording_ = true;
+  /// First index of entries_ that may be live: every earlier entry is a
+  /// tombstone.
+  std::size_t head_ = 0;
+  mutable bool journalRecording_ = false;
   std::uint64_t eventGen_ = 1;
   std::uint64_t nextArrivalSeq_ = 0;
-  std::uint64_t resetGen_ = 0;
+  mutable std::uint64_t resetGen_ = 0;
 };
 
 }  // namespace hcs::sim

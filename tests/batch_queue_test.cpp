@@ -1,11 +1,12 @@
-// Randomized model-check of sim::BatchQueue — the PR-3 indexed arrival
-// queue — against a naive vector reference.  Random insert / remove /
-// defer / begin-event / clear sequences (with journal-replay consumers kept
-// in sync the way TwoPhaseBatchHeuristic does it) must agree with the
+// Randomized model-check of sim::BatchQueue — the indexed arrival queue —
+// against a naive vector reference.  Random insert / remove / oldest-first
+// remove / defer / begin-event / clear sequences (with journal-replay
+// consumers kept in sync the way TypeBuckets does it) must agree with the
 // obviously-correct model at every step, across tens of thousands of ops
 // and multiple seeds.  This pins down the tombstone/compaction machinery,
-// the O(1) generation-stamped deferral expiry, and the mutation journal —
-// previously exercised only indirectly through mapping_engine_test.
+// the head cursor and its bounded candidate walk, the O(1) generation-
+// stamped deferral expiry, and the mutation journal — previously exercised
+// only indirectly through mapping_engine_test.
 
 #include <gtest/gtest.h>
 
@@ -87,16 +88,20 @@ class NaiveQueue {
   std::uint64_t eventGen_ = 1;
 };
 
-/// A journal consumer in the style of TwoPhaseBatchHeuristic's per-type
-/// buckets: replays only the delta since its last position and must always
-/// reconstruct the live task set.
+/// A journal consumer in the style of TypeBuckets: replays only the delta
+/// since its last position and must always reconstruct the live task set.
 class JournalConsumer {
  public:
   void sync(const BatchQueue& queue) {
+    queue.requestJournal();
     if (resetGen_ != queue.resetGeneration()) {
-      // History was discarded: rebuild from scratch.
+      // History was discarded (or never recorded): rebuild from the live
+      // queue.
       live_.clear();
-      pos_ = 0;
+      queue.forEachLive([&](TaskId task, std::uint64_t seq) {
+        live_.push_back({task, seq});
+      });
+      pos_ = queue.journalSize();
       resetGen_ = queue.resetGeneration();
     }
     for (; pos_ < queue.journalSize(); ++pos_) {
@@ -139,6 +144,22 @@ void checkAgreement(const BatchQueue& queue, const NaiveQueue& model,
   std::vector<TaskId> candidates;
   queue.liveCandidates(candidates);
   ASSERT_EQ(candidates, model.candidates());
+  const std::vector<TaskId> live = model.live();
+  ASSERT_EQ(queue.front(), live.empty() ? hcs::sim::kInvalidTask : live[0]);
+  // The head cursor's bounded walk, stopped after a random K, reads
+  // exactly the first K candidates.
+  const std::size_t k = rng() % (candidates.size() + 2);
+  std::vector<TaskId> walked;
+  queue.forEachCandidate([&](TaskId task) {
+    walked.push_back(task);
+    return walked.size() < k;
+  });
+  const std::size_t expect = std::min(std::max<std::size_t>(k, 1),
+                                      candidates.size());
+  ASSERT_EQ(walked, std::vector<TaskId>(candidates.begin(),
+                                        candidates.begin() +
+                                            static_cast<std::ptrdiff_t>(
+                                                expect)));
   consumer.sync(queue);
   ASSERT_EQ(consumer.liveTasks(), model.live());
 
@@ -175,6 +196,13 @@ TEST_P(BatchQueueModelCheck, RandomOpSequencesMatchNaiveReference) {
       model.push(id);
       all.push_back(id);
       live.push_back(id);
+    } else if (roll < 52) {
+      // Oldest first, as dispatch mostly removes: long tombstone runs at
+      // the head, which the cursor must hop.
+      const TaskId id = live.front();
+      queue.remove(id);
+      model.remove(id);
+      live.erase(live.begin());
     } else if (roll < 65) {
       const std::size_t pick = rng() % live.size();
       const TaskId id = live[pick];
@@ -229,6 +257,7 @@ TEST(BatchQueueTest, DeferralMarksSurviveCompaction) {
 
 TEST(BatchQueueTest, JournalCarriesSeqsAcrossRemovalAndReuse) {
   BatchQueue queue;
+  queue.requestJournal();
   queue.push(5);
   queue.push(9);
   queue.remove(5);
@@ -245,6 +274,82 @@ TEST(BatchQueueTest, JournalCarriesSeqsAcrossRemovalAndReuse) {
   queue.forEachLive(
       [&](TaskId task, std::uint64_t) { liveNow.push_back(task); });
   EXPECT_EQ(liveNow, (std::vector<TaskId>{9, 5}));
+}
+
+TEST(BatchQueueTest, RecordsNoJournalUntilAConsumerAsks) {
+  BatchQueue queue;
+  queue.push(1);
+  queue.push(2);
+  queue.remove(1);
+  EXPECT_EQ(queue.journalSize(), 0u);
+  const std::uint64_t gen = queue.resetGeneration();
+  queue.requestJournal();
+  // The unrecorded history is void: consumers must rebuild.
+  EXPECT_NE(queue.resetGeneration(), gen);
+  queue.requestJournal();  // idempotent once recording
+  EXPECT_EQ(queue.resetGeneration(), gen + 1);
+  queue.push(3);
+  ASSERT_EQ(queue.journalSize(), 1u);
+  EXPECT_EQ(queue.journalAt(0).task, 3);
+}
+
+std::vector<TaskId> walk(const BatchQueue& queue) {
+  std::vector<TaskId> out;
+  queue.forEachCandidate([&](TaskId task) {
+    out.push_back(task);
+    return true;
+  });
+  return out;
+}
+
+TEST(BatchQueueTest, HeadCursorSurvivesCompaction) {
+  // 32 entries, the oldest 24 removed front to back: the cursor hops each
+  // tombstone, then the compaction (live < half) re-bases it to 0.
+  BatchQueue queue;
+  for (TaskId id = 0; id < 32; ++id) queue.push(id);
+  for (TaskId id = 0; id < 10; ++id) queue.remove(id);
+  EXPECT_EQ(queue.front(), 10);
+  for (TaskId id = 10; id < 24; ++id) queue.remove(id);  // compacts
+  EXPECT_EQ(queue.front(), 24);
+  EXPECT_EQ(walk(queue),
+            (std::vector<TaskId>{24, 25, 26, 27, 28, 29, 30, 31}));
+  queue.remove(25);  // a hole behind the head leaves the cursor alone
+  queue.remove(24);  // ... until the head goes, then it hops both
+  EXPECT_EQ(queue.front(), 26);
+  queue.push(40);
+  EXPECT_EQ(walk(queue), (std::vector<TaskId>{26, 27, 28, 29, 30, 31, 40}));
+}
+
+TEST(BatchQueueTest, HeadCursorResetsOnClear) {
+  BatchQueue queue;
+  for (TaskId id = 0; id < 6; ++id) queue.push(id);
+  queue.remove(0);
+  queue.remove(1);
+  queue.clear();
+  EXPECT_EQ(queue.front(), hcs::sim::kInvalidTask);
+  EXPECT_TRUE(walk(queue).empty());
+  queue.push(7);
+  queue.push(3);
+  EXPECT_EQ(queue.front(), 7);
+  EXPECT_EQ(walk(queue), (std::vector<TaskId>{7, 3}));
+}
+
+TEST(BatchQueueTest, PushIntoAnEmptiedQueueLandsAtTheCursor) {
+  // Below the compaction floor every removal leaves a tombstone, so an
+  // emptied queue's cursor sits at the end of its entries; a push must
+  // land exactly there.
+  BatchQueue queue;
+  for (TaskId id = 0; id < 5; ++id) queue.push(id);
+  for (TaskId id : {3, 1, 0, 4, 2}) queue.remove(id);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.front(), hcs::sim::kInvalidTask);
+  queue.push(9);
+  EXPECT_EQ(queue.front(), 9);
+  queue.beginEvent();
+  queue.markDeferred(9);
+  queue.push(2);
+  EXPECT_EQ(walk(queue), (std::vector<TaskId>{2}));  // 9 is deferred
+  EXPECT_EQ(queue.front(), 9);                       // ... but still first
 }
 
 }  // namespace

@@ -298,6 +298,34 @@ TEST(SimulationTest, AbortPolicyFreesTheMachineEarly) {
   EXPECT_EQ(result.metrics.completedOnTime(), 1u);
 }
 
+TEST(SimulationTest, AbortAndCompletionInOneEventStartMachinesInIdOrder) {
+  // Machine 1 completes B at t = 6; the same mapping event aborts A on
+  // machine 0 (deadline 5).  Both machines then start their queued task
+  // (C on 0, D on 1) — in ascending machine id, although machine 1 went
+  // idle first.
+  const FakeModel model =
+      FakeModel::deterministic({{10.0, 100.0}, {100.0, 6.0}});
+  SimulationConfig config = baseline("MM");
+  config.abortRunningAtDeadline = true;
+  hcs::sim::TraceLog log;
+  config.traceSink = log.sink();
+  const Workload wl = workloadOf({TaskSpec{0, 0.0, 5.0},    // A -> m0
+                                  TaskSpec{1, 0.0, 100.0},  // B -> m1
+                                  TaskSpec{0, 1.0, 50.0},   // C -> m0 queue
+                                  TaskSpec{1, 1.0, 50.0}},  // D -> m1 queue
+                                 2);
+  Simulation(model, wl, config).run();
+  std::vector<std::pair<hcs::sim::TaskId, hcs::sim::MachineId>> startedAt6;
+  for (const auto& e : log.ofKind(hcs::sim::TraceEventKind::Started)) {
+    if (e.time == 6.0) startedAt6.emplace_back(e.task, e.machine);
+  }
+  EXPECT_EQ(startedAt6,
+            (std::vector<std::pair<hcs::sim::TaskId, hcs::sim::MachineId>>{
+                {2, 0}, {3, 1}}));
+  ASSERT_EQ(log.ofKind(hcs::sim::TraceEventKind::Aborted).size(), 1u);
+  EXPECT_EQ(log.ofKind(hcs::sim::TraceEventKind::Aborted)[0].task, 0);
+}
+
 TEST(SimulationTest, WithoutAbortPolicyRunningTaskFinishesLate) {
   const FakeModel model = FakeModel::deterministic({{30.0}, {5.0}});
   const Workload wl = workloadOf(

@@ -110,12 +110,11 @@ struct SimulationConfig {
   /// fixed-capacity twins; exp::elasticitySeedFor derives it per trial.
   std::uint64_t elasticitySeed = 0xe1a5;
 
-  /// Where a failed task's retry re-enters the system.  Unset (the
-  /// single-cluster default), the scheduler pushes a TaskArrival event at
-  /// the retry time into its own event queue.  The federation gateway
-  /// installs a hook so retries come back to the GATEWAY instead — they
+  /// Where a failed task's retry re-enters the system: the trial loop
+  /// installs a hook that files it in the gateway's retry heap, so retries
   /// are re-routed and re-admitted against the whole federation, not
-  /// pinned to the cluster that failed them.
+  /// pinned to the cluster that failed them.  A scheduler asked to retry
+  /// a task without one throws.
   std::function<void(sim::TaskId, sim::Time)> retryHook;
 
   /// First/last arrivals excluded from robustness (§V-B uses 100).

@@ -343,16 +343,14 @@ void Scheduler::retryOrAbandon(World& world, sim::TaskId task, sim::Time now) {
     dropTask(world, task, now, sim::TaskStatus::Abandoned);
     return;
   }
+  if (!config_.retryHook) {
+    throw std::logic_error("Scheduler: a retry needs config.retryHook");
+  }
   world.metrics.recordRetry();
   emit(now, sim::TraceEventKind::Retried, task);
-  if (config_.retryHook) {
-    // Federation: the retry re-enters at the GATEWAY — re-routed and
-    // re-admitted against the whole federation, not pinned to the cluster
-    // that failed it.
-    config_.retryHook(task, retryAt);
-  } else {
-    world.events.push(retryAt, sim::EventKind::TaskArrival, task);
-  }
+  // The retry re-enters at the gateway — re-routed and re-admitted against
+  // the whole federation, not pinned to the cluster that failed it.
+  config_.retryHook(task, retryAt);
 }
 
 void Scheduler::reactiveDropPass(World& world, sim::Time now) {

@@ -39,9 +39,9 @@
 
 namespace hcs::core {
 
-/// The mutable simulation state a scheduler operates on; owned by
-/// Simulation, borrowed per call (keeps the scheduler unit-testable with a
-/// hand-built world).
+/// The mutable simulation state a scheduler operates on; owned by the
+/// trial loop (fed::FederatedSimulation), borrowed per call (keeps the
+/// scheduler unit-testable with a hand-built world).
 struct World {
   sim::TaskPool& pool;
   std::vector<sim::Machine>& machines;
@@ -75,7 +75,7 @@ class Scheduler {
   /// Per-trial setup against the world the scheduler will run in: sizes the
   /// completion-sequence table once (instead of re-checking on every
   /// completion) and, for the incremental engine, anchors the persistent
-  /// mapping context.  Called by Simulation::run; the event handlers also
+  /// mapping context.  Called by the trial loop; the event handlers also
   /// self-prepare on first use so a hand-built World needs no ceremony.
   void beginTrial(const World& world);
 
@@ -154,9 +154,9 @@ class Scheduler {
   void dropTask(World& world, sim::TaskId task, sim::Time now,
                 sim::TaskStatus reason);
   /// Applies the retry policy to a task lost to a machine failure (or an
-  /// arrival with no online machine to take it): schedules a backed-off
-  /// re-arrival — through config_.retryHook when the federation gateway
-  /// owns re-admission — or abandons the task.
+  /// arrival with no online machine to take it): hands a backed-off
+  /// re-arrival to config_.retryHook (the gateway's retry heap), or
+  /// abandons the task.
   void retryOrAbandon(World& world, sim::TaskId task, sim::Time now);
   void dispatch(World& world, sim::TaskId task, sim::MachineId machine,
                 sim::Time now);

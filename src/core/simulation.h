@@ -1,6 +1,7 @@
 #pragma once
 // Single-trial simulation: feeds one workload through a configured resource
-// allocation system and reports the trial's outcome.
+// allocation system and reports the trial's outcome.  The trial loop itself
+// lives in fed/federation.h; a Simulation runs it with one cluster.
 
 #include <vector>
 
@@ -45,16 +46,15 @@ struct TrialResult {
 /// Runs one workload trial to completion.  Deterministic: the same model,
 /// workload, and config always produce the same result.
 ///
-/// Two arrival paths share one engine:
-///  - materialized (a Workload): every task is created up front and the
-///    arrivals are served in order off the workload — the paper-scale path,
-///    byte-identical to every golden ever recorded;
-///  - streamed (a TaskStream): tasks are created on pop, completed tasks
-///    return their TaskPool slots, warm-up trimming is decided online, and
-///    memory stays bounded by the in-flight window however long the stream
-///    runs.  A streamed trial of the same task sequence produces the
-///    identical TrialResult (only internal TaskIds differ, under slot
-///    reuse).
+/// A Simulation is the one-cluster entry to the trial loop of
+/// fed::FederatedSimulation: one cluster, zero dispatch latency, accept_all
+/// admission.  Both arrival sources run through that loop:
+///  - materialized (a Workload): served as a stream over a task pool that
+///    never recycles, so task ids equal arrival indices;
+///  - streamed (a TaskStream): terminal tasks return their TaskPool slots,
+///    and memory stays bounded by the in-flight window however long the
+///    stream runs.  A streamed trial of the same task sequence produces the
+///    identical TrialResult (only trace task ids differ, under slot reuse).
 class Simulation {
  public:
   /// `model` must outlive run().

@@ -35,7 +35,18 @@ std::uint64_t elasticitySeedFor(std::uint64_t workloadSeed) {
 
 TrialRunner::TrialRunner(const workload::BoundExecutionModel& model,
                          const ExperimentSpec& spec)
-    : model_(&model), spec_(&spec) {}
+    : TrialRunner({&model}, spec, fed::FederationSpec{}) {}
+
+TrialRunner::TrialRunner(
+    std::vector<const workload::BoundExecutionModel*> models,
+    const ExperimentSpec& spec, fed::FederationSpec federation)
+    : models_(std::move(models)),
+      spec_(&spec),
+      federation_(std::move(federation)) {
+  if (models_.empty() || models_.size() != federation_.clusters) {
+    throw std::invalid_argument("TrialRunner: one model per cluster required");
+  }
+}
 
 core::TrialResult TrialRunner::runTrial(std::size_t trial) const {
   const std::uint64_t workloadSeed = spec_->baseSeed + trial;
@@ -45,21 +56,28 @@ core::TrialResult TrialRunner::runTrial(std::size_t trial) const {
   simConfig.faultSeed = faultSeedFor(workloadSeed);
   simConfig.elasticitySeed = elasticitySeedFor(workloadSeed);
 
+  std::vector<const sim::ExecutionModel*> models(models_.begin(),
+                                                 models_.end());
+  const workload::PetMatrix& pet = models_[0]->matrix();
   if (spec_->stream.enabled) {
     // Bounded-memory path: the trial pulls tasks as it reaches them —
     // generated (identical to the materialized trial below) or replayed
     // from an external trace — and never holds more than the in-flight
     // window.
     const std::unique_ptr<workload::TaskStream> stream =
-        workload::openTaskStream(spec_->stream, model_->matrix(),
-                                 spec_->arrival, spec_->deadline,
-                                 workloadSeed);
-    return core::Simulation(*model_, *stream, simConfig).run();
+        workload::openTaskStream(spec_->stream, pet, spec_->arrival,
+                                 spec_->deadline, workloadSeed);
+    return fed::FederatedSimulation(std::move(models), *stream, simConfig,
+                                    federation_)
+        .run()
+        .total;
   }
-
   const workload::Workload wl = workload::Workload::generate(
-      model_->matrix(), spec_->arrival, spec_->deadline, workloadSeed);
-  return core::Simulation(*model_, wl, simConfig).run();
+      pet, spec_->arrival, spec_->deadline, workloadSeed);
+  return fed::FederatedSimulation(std::move(models), wl, simConfig,
+                                  federation_)
+      .run()
+      .total;
 }
 
 ExperimentResult aggregateTrialResults(
@@ -111,10 +129,16 @@ ExperimentResult aggregateTrialResults(
 
 ExperimentResult runExperiment(const workload::BoundExecutionModel& model,
                                const ExperimentSpec& spec) {
+  return runExperiment({&model}, spec, fed::FederationSpec{});
+}
+
+ExperimentResult runExperiment(
+    const std::vector<const workload::BoundExecutionModel*>& models,
+    const ExperimentSpec& spec, const fed::FederationSpec& federation) {
   if (spec.trials == 0) {
     throw std::invalid_argument("runExperiment: need at least one trial");
   }
-  const TrialRunner runner(model, spec);
+  const TrialRunner runner(models, spec, federation);
 
   // Execute trials on the pool (each owns all of its mutable state)…
   std::vector<core::TrialResult> outcomes(spec.trials);

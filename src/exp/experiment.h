@@ -9,6 +9,7 @@
 
 #include "core/config.h"
 #include "core/simulation.h"
+#include "fed/federation.h"
 #include "stats/confidence.h"
 #include "stats/running_stats.h"
 #include "workload/pet_matrix.h"
@@ -68,24 +69,33 @@ struct ExperimentResult {
 };
 
 /// Executes the independent trials of one experiment.  Each trial
-/// generates its own workload (seeded from the spec) and owns every piece
-/// of mutable simulation state, so any number of trials may run
-/// concurrently against the shared immutable model.
+/// generates its own workload (seeded from the spec) — or opens its arrival
+/// stream, when spec.stream is enabled — and owns every piece of mutable
+/// simulation state, so any number of trials may run concurrently against
+/// the shared immutable models.
 class TrialRunner {
  public:
-  /// `model` and `spec` must outlive the runner.
+  /// Single-cluster trials.  `model` and `spec` must outlive the runner.
   TrialRunner(const workload::BoundExecutionModel& model,
               const ExperimentSpec& spec);
+
+  /// Federated trials: one model per cluster (models.size() ==
+  /// federation.clusters).  Deadlines come from models[0]'s PET matrix
+  /// (all clusters of a federation share one matrix).  The models and
+  /// `spec` must outlive the runner.
+  TrialRunner(std::vector<const workload::BoundExecutionModel*> models,
+              const ExperimentSpec& spec, fed::FederationSpec federation);
 
   std::size_t trials() const { return spec_->trials; }
 
   /// Runs trial `trial` (0-based) to completion.  Deterministic in
-  /// (model, spec, trial) — thread-safe by construction.
+  /// (models, spec, federation, trial) — thread-safe by construction.
   core::TrialResult runTrial(std::size_t trial) const;
 
  private:
-  const workload::BoundExecutionModel* model_;
+  std::vector<const workload::BoundExecutionModel*> models_;
   const ExperimentSpec* spec_;
+  fed::FederationSpec federation_;
 };
 
 /// Runs `spec.trials` independent workload trials against the given cluster
@@ -95,15 +105,21 @@ class TrialRunner {
 ExperimentResult runExperiment(const workload::BoundExecutionModel& model,
                                const ExperimentSpec& spec);
 
+/// The same through a federation of `models.size()` clusters: identical
+/// workloads and per-trial seeds, so a 1-cluster federation with zero
+/// dispatch latency reproduces the single-cluster experiment bit-for-bit
+/// and federated sweep points stay paired with plain ones.
+ExperimentResult runExperiment(
+    const std::vector<const workload::BoundExecutionModel*>& models,
+    const ExperimentSpec& spec, const fed::FederationSpec& federation);
+
 /// Folds per-trial outcomes — already in trial order — into the aggregate
-/// statistics.  Shared by runExperiment and the federated runner
-/// (fed/fed_experiment.h), so both report identical aggregates for
-/// identical trials.
+/// statistics.
 ExperimentResult aggregateTrialResults(
     const std::vector<core::TrialResult>& outcomes);
 
 /// The per-trial execution seed derived from a workload seed; exposed so
-/// every runner (single-cluster, federated) derives the identical stream.
+/// tools that spell out the trial recipe derive the identical stream.
 std::uint64_t executionSeedFor(std::uint64_t workloadSeed);
 
 /// The per-trial FAULT-stream seed derived from the same workload seed but

@@ -5,8 +5,6 @@
 #include <map>
 #include <sstream>
 
-#include "fed/fed_experiment.h"
-
 namespace hcs::exp {
 
 namespace {
@@ -357,8 +355,8 @@ std::vector<SweepOutcome> runSweep(
     SweepOutcome outcome;
     outcome.result =
         bound.federated
-            ? fed::runFederatedExperiment(bound.fedModels, bound.experiment,
-                                          bound.federation)
+            ? runExperiment(bound.fedModels, bound.experiment,
+                            bound.federation)
             : runExperiment(*bound.model, bound.experiment);
     outcome.point = std::move(point);
     outcomes.push_back(std::move(outcome));

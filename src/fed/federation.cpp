@@ -46,6 +46,10 @@ struct Cluster {
   sim::Time lastEvent = 0;
 
   explicit Cluster(prob::Rng seeded) : rng(std::move(seeded)) {}
+
+  sim::FaultInjector* injectorOrNull() {
+    return injector.has_value() ? &*injector : nullptr;
+  }
 };
 
 /// A failure retry waiting to re-enter the gateway: re-routed and
@@ -143,40 +147,33 @@ void FederatedSimulation::validate(int numTaskTypes) {
 }
 
 FederatedTrialResult FederatedSimulation::run() {
-  const bool streamingMode = stream_ != nullptr;
+  // Both arrival sources run through the one loop below.  A materialized
+  // workload is served through a WorkloadStream over a pool that never
+  // recycles, so task ids stay equal to arrival indices; a streamed trial
+  // recycles terminal tasks' slots so memory stays bounded by the in-flight
+  // window.
+  std::optional<workload::WorkloadStream> materialized;
+  workload::TaskStream& arrivals =
+      stream_ != nullptr ? *stream_ : materialized.emplace(*workload_);
   const double binWidth = models_[0]->pet(0, 0).binWidth();
   const bool batchMode =
       core::allocationModeFor(config_) == core::AllocationMode::Batch;
   const std::size_t n = spec_.clusters;
   const int numTaskTypes = models_[0]->numTaskTypes();
 
-  // One global task pool: materialized, ids are creation-order indices of
-  // the arrival stream, exactly as core::Simulation numbers them; streamed,
-  // tasks are created as the gateway reaches them and terminal tasks give
-  // their slots back.
+  // One global task pool; tasks are created as the gateway reaches them.
   sim::TaskPool pool;
-  if (streamingMode) {
-    pool.enableRecycling();
-  } else {
-    for (const workload::TaskSpec& spec : workload_->tasks()) {
-      pool.create(spec.type, spec.arrival, spec.deadline, spec.value);
-    }
-  }
-  std::vector<bool> countedMask;
-  if (!streamingMode) {
-    countedMask = workload_->countedMask(config_.warmupMargin);
-  }
+  if (stream_ != nullptr) pool.enableRecycling();
 
   // Gateway-level accounting (rejections, spillovers) and the retry heap
   // live above every cluster; the heap is declared before the clusters so
-  // each scheduler's retryHook can capture it.
+  // each scheduler's retryHook can capture it.  Every section shares the
+  // pool's creation clock for warm-up trimming: a terminal's counted
+  // verdict depends on the global arrival ordinal, not on which cluster
+  // (or the gateway) recorded it.
   sim::Metrics gatewayMetrics(numTaskTypes);
-  if (streamingMode) {
-    gatewayMetrics.enableOnlineCounting(config_.warmupMargin,
-                                        pool.createdClock());
-  } else {
-    gatewayMetrics.setCounted(countedMask);
-  }
+  gatewayMetrics.enableOnlineCounting(config_.warmupMargin,
+                                      pool.createdClock());
   std::priority_queue<PendingRetry, std::vector<PendingRetry>, RetryLater>
       retries;
   std::uint64_t retrySeq = 0;
@@ -198,15 +195,7 @@ FederatedTrialResult FederatedSimulation::run() {
                                /*lazyTailRebuild=*/config_.pctCacheEnabled);
     }
     cl.metrics = sim::Metrics(numTaskTypes);
-    if (streamingMode) {
-      // All sections share the pool's creation clock: a terminal's counted
-      // verdict depends on the global arrival ordinal, not on which cluster
-      // (or the gateway) recorded it.
-      cl.metrics.enableOnlineCounting(config_.warmupMargin,
-                                      pool.createdClock());
-    } else {
-      cl.metrics.setCounted(countedMask);
-    }
+    cl.metrics.enableOnlineCounting(config_.warmupMargin, pool.createdClock());
     cl.config = config_;
     // Resolve this cluster's controller config up front: the scheduler's
     // config copy must see it (it gates the immediate-mode unmappable-task
@@ -223,14 +212,10 @@ FederatedTrialResult FederatedSimulation::run() {
         if (baseSink) baseSink(e);
       };
     }
-    if (faultsActive) {
-      // Retries re-enter at the GATEWAY (re-routed, re-admitted) instead
-      // of the failing cluster's own event queue.
-      cl.config.retryHook = [&retries, &retrySeq](sim::TaskId id,
-                                                  sim::Time at) {
-        retries.push(PendingRetry{at, retrySeq++, id});
-      };
-    }
+    // Retries re-enter at the gateway, re-routed and re-admitted.
+    cl.config.retryHook = [&retries, &retrySeq](sim::TaskId id, sim::Time at) {
+      retries.push(PendingRetry{at, retrySeq++, id});
+    };
     cl.scheduler = std::make_unique<core::Scheduler>(cl.config, numTaskTypes);
     if (n > 1 ||
         spec_.admission.policy == AdmissionPolicyKind::ChanceThreshold) {
@@ -246,10 +231,11 @@ FederatedTrialResult FederatedSimulation::run() {
                             cl.routingCache.get());
       cl.routingCtx->enablePersistence();
     }
-    // The controller arms BEFORE the fault injector (exactly like the
-    // single-cluster engine): surplus slots park at t = 0, so parked
-    // capacity never gets a failure process.  Seed split off the trial's
-    // elasticity seed with the same scheme the execution streams use.
+    // The controller arms first: its surplus slots park (go offline) at
+    // t = 0 BEFORE the fault injector scans the fleet, so parked capacity
+    // gets no failure process — exactly like initially-offline machines.
+    // Seed split off the trial's elasticity seed with the same scheme the
+    // execution streams use.  Inactive configs arm nothing.
     if (cl.config.elasticity.active()) {
       cl.controller.emplace(cl.config.elasticity,
                             clusterExecutionSeed(config_.elasticitySeed, c),
@@ -283,10 +269,8 @@ FederatedTrialResult FederatedSimulation::run() {
                          sim::Time when) {
     Cluster& cl = clusters[c];
     if (!cl.controller.has_value()) return;
-    sim::FaultInjector* injectorPtr =
-        cl.injector.has_value() ? &*cl.injector : nullptr;
     if (cl.controller->maybeRetire(cl.events, cl.machines, pool, machine,
-                                   when, injectorPtr) &&
+                                   when, cl.injectorOrNull()) &&
         cl.config.traceSink) {
       cl.config.traceSink(sim::TraceEvent{
           when, sim::TraceEventKind::MachineRetired, sim::kInvalidTask,
@@ -368,25 +352,16 @@ FederatedTrialResult FederatedSimulation::run() {
 
   // The gateway loop: merge the (time-sorted) arrival stream, the retry
   // heap, and every cluster's event queue.  Stream arrivals win every time
-  // tie (they carry lower sequence numbers than any same-time completion in
-  // the single-cluster engine), retries beat cluster events at equal times
-  // (they are gateway arrivals too), and cluster ties break toward the
-  // lowest index.
-  const std::vector<workload::TaskSpec>* materialized =
-      streamingMode ? nullptr : &workload_->tasks();
-  std::size_t cursor = 0;
-  const auto peekArrival = [&]() -> const workload::TaskSpec* {
-    if (streamingMode) return stream_->peek();
-    return cursor < materialized->size() ? &(*materialized)[cursor] : nullptr;
-  };
+  // tie, retries beat cluster events at equal times (they are gateway
+  // arrivals too), and cluster ties break toward the lowest index.
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   // With churn active, every cluster's fail/repair process re-arms on each
   // transition and its queue never drains — and controller ticks recur
-  // forever the same way; the trial is over once every task reached a
-  // terminal state somewhere in the federation.  A streamed trial is over
-  // once the stream is dry AND everything created went terminal.
+  // forever the same way; the trial is over once the stream is dry AND
+  // every task created reached a terminal state somewhere in the
+  // federation.
   auto allTasksTerminal = [&] {
-    if (streamingMode && stream_->peek() != nullptr) return false;
+    if (arrivals.peek() != nullptr) return false;
     std::size_t terminal = gatewayMetrics.terminalCount();
     for (const Cluster& cl : clusters) terminal += cl.metrics.terminalCount();
     return terminal == static_cast<std::size_t>(pool.createdCount());
@@ -403,7 +378,7 @@ FederatedTrialResult FederatedSimulation::run() {
         nextEventTime = t;
       }
     }
-    const workload::TaskSpec* nextArrival = peekArrival();
+    const workload::TaskSpec* nextArrival = arrivals.peek();
     const bool haveArrival = nextArrival != nullptr;
     const bool haveRetry = !retries.empty();
     if (!haveArrival && !haveRetry && nextCluster == kNone) break;
@@ -412,15 +387,10 @@ FederatedTrialResult FederatedSimulation::run() {
         (!haveRetry || nextArrival->arrival <= retries.top().at) &&
         (nextCluster == kNone || nextArrival->arrival <= nextEventTime)) {
       now = nextArrival->arrival;
-      sim::TaskId id;
-      if (streamingMode) {
-        const workload::TaskSpec spec = stream_->pop();
-        id = pool.create(spec.type, spec.arrival, spec.deadline, spec.value);
-      } else {
-        id = static_cast<sim::TaskId>(cursor);  // create() numbered 0..N-1
-        ++cursor;
-      }
-      admitAndDispatch(id, now);
+      const workload::TaskSpec spec = arrivals.pop();
+      admitAndDispatch(
+          pool.create(spec.type, spec.arrival, spec.deadline, spec.value),
+          now);
       continue;
     }
 
@@ -433,13 +403,16 @@ FederatedTrialResult FederatedSimulation::run() {
       continue;
     }
 
-    // Mirror of the single-cluster engine's quiescence break: a tick
-    // popping with the stream exhausted, no retries, nothing in flight, an
-    // idle fleet everywhere, and no boot pending can never change a task's
-    // fate again — break BEFORE processing it so every cluster's clock (and
-    // the finalize sweep of deferred leftovers) stays at its last task
-    // event, preserving the N=1 identity oracle.  Fault-active runs opt
-    // out: recovery-driven mapping events can still resolve stuck tasks.
+    // Ticks re-arm forever, so an elastic trial can not rely on queue
+    // exhaustion.  A tick popping with the stream exhausted, no retries,
+    // nothing in flight, an idle fleet everywhere, and no boot pending can
+    // never change a task's fate again (the only survivors are deferred
+    // batch-queue leftovers, which the finalize pass sweeps exactly like a
+    // fixed-capacity trial): break BEFORE processing it, so every cluster's
+    // clock — and with it makespan, machine-seconds, and the finalize
+    // trace timestamps — stays at its last task event and the min == max
+    // identity oracle holds.  Fault-active runs opt out: recovery-driven
+    // mapping events can still resolve stuck tasks.
     if (!faultsActive &&
         clusters[nextCluster].events.top().kind ==
             sim::EventKind::ControllerTick &&
@@ -500,11 +473,9 @@ FederatedTrialResult FederatedSimulation::run() {
         if (cl.controller->needsHeadTask()) {
           signal.headTask = cl.scheduler->batchQueueHead();
         }
-        sim::FaultInjector* injectorPtr =
-            cl.injector.has_value() ? &*cl.injector : nullptr;
         const sim::CapacityDelta delta =
             cl.controller->onTick(cl.events, cl.machines, pool, signal,
-                                  cl.metrics, now, injectorPtr);
+                                  cl.metrics, now, cl.injectorOrNull());
         emitCapacityTraces(cl.config.traceSink, delta, now);
         // Only added accepting capacity warrants a mapping event — drains
         // and retirements shrink the candidate set and the next natural
@@ -515,10 +486,8 @@ FederatedTrialResult FederatedSimulation::run() {
         break;
       }
       case sim::EventKind::CapacityOnline: {
-        sim::FaultInjector* injectorPtr =
-            cl.injector.has_value() ? &*cl.injector : nullptr;
         const bool accepting = cl.controller->onCapacityOnline(
-            cl.events, event, cl.machines, pool, now, injectorPtr);
+            cl.events, event, cl.machines, pool, now, cl.injectorOrNull());
         if (accepting) {
           if (cl.config.traceSink) {
             cl.config.traceSink(sim::TraceEvent{
@@ -571,6 +540,9 @@ FederatedTrialResult FederatedSimulation::run() {
     result.total.mappingEvents += outcome.mappingEvents;
     result.total.mappingEngineSeconds +=
         static_cast<double>(cl.scheduler->mappingEngineNanos()) * 1e-9;
+    if (cl.scheduler->pctCache() != nullptr) {
+      result.total.pctCache += cl.scheduler->pctCache()->stats();
+    }
     result.total.machineUtilization.insert(
         result.total.machineUtilization.end(),
         outcome.machineUtilization.begin(), outcome.machineUtilization.end());

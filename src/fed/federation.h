@@ -1,21 +1,23 @@
 #pragma once
-// The federated dispatch engine: N independent clusters behind a gateway.
+// The trial loop: N independent clusters behind a gateway.
 //
-// Real serverless platforms shard load across many clusters; this tier
-// reproduces that shape on top of the single-cluster engine without touching
-// it.  A FederatedSimulation owns one full resource-allocation stack per
-// cluster — Scheduler (heuristic + pruner + PCT cache), EventQueue, machines,
-// metrics, and a *split per-cluster RNG stream* — plus a gateway that walks
-// the global arrival stream in time order and routes every task by a
-// pluggable RoutingPolicy.  Routed tasks reach their cluster immediately or
-// after a configurable inter-cluster dispatch latency.
+// This is the simulator's one event loop.  core::Simulation runs it with
+// one cluster, zero dispatch latency and accept_all admission; federated
+// scenarios run it with many.  A FederatedSimulation owns one full
+// resource-allocation stack per cluster — Scheduler (heuristic + pruner +
+// PCT cache), EventQueue, machines, metrics, and a *split per-cluster RNG
+// stream* — plus a gateway that walks the global arrival stream in time
+// order and routes every task by a pluggable RoutingPolicy.  Routed tasks
+// reach their cluster immediately or after a configurable inter-cluster
+// dispatch latency.  Failure retries have one path: each scheduler hands
+// them to the gateway's retry heap, and they re-enter the gateway like
+// arrivals (re-routed, re-admitted).
 //
 // Reproducibility contracts:
 //  - Cluster 0 keeps the trial's base execution-RNG stream and clusters run
 //    their events in deterministic (time, cluster, seq) order, so a
-//    federation of ONE cluster with ZERO dispatch latency is byte-identical
-//    — trace-for-trace — to core::Simulation (the oracle the federation
-//    tests pin down).
+//    single-cluster trial's results do not depend on how many clusters
+//    other scenarios configure.
 //  - Cluster c > 0 derives its stream from the same seed via a splitmix64
 //    step, so paired-seed sweeps (same run.seed, different cluster counts or
 //    routing policies) stay paired.
@@ -97,11 +99,12 @@ struct FederatedTrialResult {
 /// Runs one workload trial through the federation.  Deterministic: the same
 /// models, workload, config, and spec always produce the same result.
 ///
-/// Like core::Simulation, the gateway accepts either a materialized
-/// Workload (every task created up front, ids = arrival indices) or a
-/// TaskStream (tasks created as the gateway reaches them, slots recycled on
-/// terminal states, warm-up trimming decided online) — the streamed trial
-/// reproduces the materialized TrialResult exactly.
+/// The gateway accepts either a materialized Workload or a TaskStream; both
+/// are served as a stream, tasks created as the gateway reaches them.  A
+/// Workload's pool never recycles (ids = arrival indices); a TaskStream's
+/// pool gives terminal tasks' slots back, so memory stays bounded by the
+/// in-flight window.  Warm-up trimming is decided online either way, and
+/// the streamed trial reproduces the materialized TrialResult exactly.
 class FederatedSimulation {
  public:
   /// `models` (one per cluster, all sharing the workload's task-type count

@@ -155,9 +155,14 @@ std::vector<Assignment> EarliestDeadlineFirst::map(
 
 std::vector<Assignment> ShortestJobFirst::map(
     const MappingContext& ctx, std::span<const sim::TaskId> batch) {
-  typeKey_.resize(static_cast<std::size_t>(ctx.model().numTaskTypes()));
-  for (std::size_t t = 0; t < typeKey_.size(); ++t) {
-    typeKey_[t] = minExpectedExec(ctx, static_cast<sim::TaskType>(t));
+  // The keys are a fixed function of the execution model: computed once
+  // per model, not once per call.
+  if (keyModel_ != &ctx.model()) {
+    keyModel_ = &ctx.model();
+    typeKey_.resize(static_cast<std::size_t>(ctx.model().numTaskTypes()));
+    for (std::size_t t = 0; t < typeKey_.size(); ++t) {
+      typeKey_[t] = minExpectedExec(ctx, static_cast<sim::TaskType>(t));
+    }
   }
   return mapByKey(ctx, batch,
                   [this](const MappingContext& c, sim::TaskId task) {

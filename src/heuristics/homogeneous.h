@@ -100,6 +100,7 @@ class ShortestJobFirst final : public KeyOrderedHeuristic {
 
  private:
   std::vector<double> typeKey_;  ///< per type: minimum expected execution
+  const sim::ExecutionModel* keyModel_ = nullptr;  ///< typeKey_'s model
 };
 
 }  // namespace hcs::heuristics

@@ -57,6 +57,13 @@ class PctCache {
       }
     }
     std::uint64_t total() const { return bounds + estimate + exact; }
+
+    StageCounts& operator+=(const StageCounts& o) {
+      bounds += o.bounds;
+      estimate += o.estimate;
+      exact += o.exact;
+      return *this;
+    }
   };
 
   struct Stats {
@@ -75,6 +82,20 @@ class PctCache {
     std::uint64_t hits() const { return appendHits + chainHits + meanHits; }
     std::uint64_t misses() const {
       return appendMisses + chainMisses + meanMisses;
+    }
+
+    /// Sums another cache's counters into these (a federated trial's total
+    /// over its clusters).
+    Stats& operator+=(const Stats& o) {
+      appendHits += o.appendHits;
+      appendMisses += o.appendMisses;
+      chainHits += o.chainHits;
+      chainMisses += o.chainMisses;
+      meanHits += o.meanHits;
+      meanMisses += o.meanMisses;
+      deferStages += o.deferStages;
+      dropStages += o.dropStages;
+      return *this;
     }
   };
 

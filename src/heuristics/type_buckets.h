@@ -10,11 +10,13 @@
 // mutation journal since the previous call — O(what changed) per mapping
 // event — and rebuilds from the live queue only when the history it holds
 // is void: another queue, pool or execution model, or a reset generation
-// bump (the first sync starts the queue's journal, which bumps it).  A removal tombstones its entry instead of memmoving the bucket
-// (dead entries keep their (key, seq), so binary searches stay exact), a
-// per-type head hops the dead prefix — the common death site, since
-// winners are heads — and a bucket is compacted once its tombstones
-// outnumber the living.
+// bump (the first sync starts the queue's journal, which bumps it).  Every
+// sync releases what it replayed, so the queue's journal holds only the
+// mutations since the last sync.  A removal tombstones its entry instead of
+// memmoving the bucket (dead entries keep their (key, seq), so binary
+// searches stay exact), a per-type head hops the dead prefix — the common
+// death site, since winners are heads — and a bucket is compacted once its
+// tombstones outnumber the living.
 //
 // A Remove is located through the (type, key) its Push was replayed with,
 // kept per task slot, and the seq the journal carries — never by
@@ -123,7 +125,10 @@ void TypeBuckets::sync(const MappingContext& ctx, const KeyFn& key) {
     }
     journalPos_ = journalEnd;
   }
-  if (!rebuild) return;
+  if (!rebuild) {
+    queue.releaseJournal(journalPos_);
+    return;
+  }
   resetBuckets(numTypes);
   queue.forEachLive([&](sim::TaskId task, std::uint64_t seq) {
     const Filed filed{key(ctx, task),
@@ -137,6 +142,7 @@ void TypeBuckets::sync(const MappingContext& ctx, const KeyFn& key) {
   model_ = &ctx.model();
   resetGen_ = queue.resetGeneration();
   journalPos_ = queue.journalSize();
+  queue.releaseJournal(journalPos_);
 }
 
 }  // namespace hcs::heuristics

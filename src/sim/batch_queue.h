@@ -23,7 +23,10 @@
 // remove is appended to a mutation journal the consumer replays from its
 // last position — per mapping event that is O(what changed), not O(queue).
 // Recording starts at the first consumer's requestJournal(), so a queue
-// nobody replays never grows a journal.
+// nobody replays never grows a journal, and the consumer releases what it
+// replayed, so the journal holds only the mutations since its last sync —
+// or, if the consumer stays away long enough that a rebuild from the live
+// queue would be cheaper than the replay, none at all.
 
 #include <cstdint>
 #include <vector>
@@ -57,9 +60,7 @@ class BatchQueue {
     const std::uint64_t seq = nextArrivalSeq_++;
     entries_.push_back(Entry{task, seq, 0});
     ++liveCount_;
-    if (journalRecording_) {
-      journal_.push_back(JournalEntry{JournalEntry::Op::Push, task, seq});
-    }
+    record(JournalEntry{JournalEntry::Op::Push, task, seq});
   }
 
   /// The oldest live task, kInvalidTask when empty — O(1) off the head
@@ -80,10 +81,8 @@ class BatchQueue {
     posByTask_[static_cast<std::size_t>(task)] = kNoPos;
     entries_[pos].task = kInvalidTask;
     --liveCount_;
-    if (journalRecording_) {
-      journal_.push_back(JournalEntry{JournalEntry::Op::Remove, task,
-                                      entries_[pos].arrivalSeq});
-    }
+    record(JournalEntry{JournalEntry::Op::Remove, task,
+                        entries_[pos].arrivalSeq});
     if (pos == head_) {
       // Each tombstone is hopped once: the cursor only moves forward until
       // a compaction (or clear) re-bases every position.
@@ -152,12 +151,26 @@ class BatchQueue {
   // --- Mutation journal --------------------------------------------------
 
   /// Monotone count of mutations since recording started (or the last
-  /// clear); journal_[i] is the i-th mutation.  A consumer that remembers
-  /// its last position replays exactly the delta.  The journal lives until
-  /// clear() — bounded by two entries per task of the trial, the same order
-  /// as the task pool itself.
-  std::size_t journalSize() const { return journal_.size(); }
-  const JournalEntry& journalAt(std::size_t i) const { return journal_[i]; }
+  /// clear); journalAt(i) is the i-th mutation, for i in [journalBegin(),
+  /// journalSize()).  A consumer that remembers its last position replays
+  /// exactly the delta.
+  std::size_t journalSize() const { return released_ + journal_.size(); }
+  const JournalEntry& journalAt(std::size_t i) const {
+    return journal_[i - released_];
+  }
+  /// The oldest mutation still held; earlier ones were released.
+  std::size_t journalBegin() const { return released_; }
+
+  /// Discards the mutations before position `pos` — the consumer has
+  /// replayed them — so the journal holds only what changed since the
+  /// consumer's last sync, not the whole trial's history.
+  void releaseJournal(std::size_t pos) const {
+    if (pos <= released_) return;
+    journal_.erase(journal_.begin(),
+                   journal_.begin() +
+                       static_cast<std::ptrdiff_t>(pos - released_));
+    released_ = pos;
+  }
 
   /// Bumped whenever history is discarded (clear) or recording starts;
   /// consumers holding a journal position from another generation must
@@ -183,6 +196,7 @@ class BatchQueue {
     }
     entries_.clear();
     journal_.clear();
+    released_ = 0;
     liveCount_ = 0;
     head_ = 0;
     ++resetGen_;
@@ -196,6 +210,21 @@ class BatchQueue {
   };
 
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
+
+  void record(const JournalEntry& entry) {
+    if (!journalRecording_) return;
+    journal_.push_back(entry);
+    // A consumer that stops syncing for a while (the adaptive engine's
+    // narrow rounds read spans) must not make the journal grow with the
+    // trial: once replaying it would cost more than rebuilding from the
+    // live queue, drop it and bump the reset generation, so the consumer
+    // rebuilds at its next sync.
+    if (journal_.size() > 64 + 4 * liveCount_) {
+      released_ += journal_.size();
+      journal_.clear();
+      ++resetGen_;
+    }
+  }
 
   void maybeCompact() {
     if (entries_.size() < 16 || liveCount_ * 2 >= entries_.size()) return;
@@ -215,7 +244,10 @@ class BatchQueue {
   /// task id → position in entries_ (task ids are dense pool indices, so a
   /// flat vector beats hashing); kNoPos when not in the queue.
   std::vector<std::uint32_t> posByTask_;
-  std::vector<JournalEntry> journal_;
+  /// Mutations [released_, journalSize()); the journal is replay
+  /// bookkeeping, not queue contents, hence releasable on a const queue.
+  mutable std::vector<JournalEntry> journal_;
+  mutable std::size_t released_ = 0;
   std::size_t liveCount_ = 0;
   /// First index of entries_ that may be live: every earlier entry is a
   /// tombstone.

@@ -16,6 +16,8 @@ namespace hcs::sim {
 /// keep the engine's total (time, seq) order — and runs with no fault
 /// events scheduled are byte-identical to the original two-kind engine.
 enum class EventKind {
+  /// A task the gateway routed reaches its cluster after the dispatch
+  /// latency (arrivals and retries otherwise never pass through the queue).
   TaskArrival,
   TaskCompletion,
   MachineFailure,   ///< the machine in Event.machine goes offline

@@ -11,12 +11,6 @@ Metrics::Metrics(int numTaskTypes)
   }
 }
 
-bool Metrics::isCounted(TaskId id) const {
-  if (counted_.empty()) return true;
-  const auto idx = static_cast<std::size_t>(id);
-  return idx < counted_.size() && counted_[idx];
-}
-
 void Metrics::applyCounted(const PendingTerminal& p) {
   ++countedTotal_;
   countedValue_ += p.value;
@@ -64,7 +58,6 @@ void Metrics::recordTerminal(const Task& task) {
     flushPending(false);
     return;
   }
-  if (!isCounted(task.id)) return;
   applyCounted({task.ordinal, task.type, task.status, task.value,
                 task.failures > 0});
 }
@@ -77,13 +70,12 @@ void Metrics::enableOnlineCounting(std::size_t margin,
   online_ = true;
   margin_ = margin;
   createdClock_ = createdClock;
-  counted_.clear();
 }
 
 void Metrics::flushPending(bool streamEnded) {
   // Verdicts are settled strictly from the FIFO head so counted accounting
-  // runs in recordTerminal-call order — the same fold order the materialized
-  // mask produces, keeping the double sums bitwise identical.
+  // runs in recordTerminal-call order, keeping the double sums independent
+  // of how long a verdict had to wait.
   const std::uint64_t clock = *createdClock_;
   while (!pending_.empty()) {
     const PendingTerminal& p = pending_.front();

@@ -75,18 +75,15 @@ class Metrics {
   void recordMachineSeconds(int machineType, Time online, Time draining,
                             Time busy);
 
-  /// Marks task ids excluded from robustness (warm-up / cool-down trimming).
-  void setCounted(std::vector<bool> counted) { counted_ = std::move(counted); }
-
-  /// Streaming replacement for setCounted: warm-up trimming decided online,
-  /// without an O(total-tasks) mask.  A terminal task with ordinal `o` is
-  /// counted iff `margin <= o < total - margin` — but `total` is unknown
-  /// until the stream ends, so terminals sit in a bounded FIFO until the
+  /// Warm-up trimming (§V-B), decided online: a terminal task with
+  /// ordinal `o` is counted iff `margin <= o < total - margin`, so a trial
+  /// of at most 2 * margin tasks counts nothing.  `total` is unknown until
+  /// the arrival stream ends, so terminals sit in a bounded FIFO until the
   /// creation clock proves the cool-down margin can't reach them
   /// (`*createdClock > o + margin`), and endStreamCounting() settles the
-  /// rest.  Counted accounting is applied in recordTerminal-call order
-  /// either way, so every sum matches the materialized mask bit for bit.
+  /// rest.  Counted accounting is applied in recordTerminal-call order.
   /// `createdClock` (TaskPool::createdClock()) must outlive the Metrics.
+  /// A Metrics never configured this way counts every terminal.
   void enableOnlineCounting(std::size_t margin,
                             const std::uint64_t* createdClock);
 
@@ -102,8 +99,8 @@ class Metrics {
   /// Folds another trial-section's counters into this one — the federation
   /// tier aggregates per-cluster metrics into a trial total with it.  The
   /// per-machine execution splits are concatenated (machine ids are local to
-  /// a cluster), everything else is summed.  The counted mask is a recording
-  /// concern and is left untouched.
+  /// a cluster), everything else is summed.  The warm-up configuration is a
+  /// recording concern and is left untouched.
   void merge(const Metrics& other);
 
   std::size_t completedOnTime() const { return totals_.completedOnTime; }
@@ -173,8 +170,6 @@ class Metrics {
   std::size_t scaleDowns() const { return scaleDowns_; }
 
  private:
-  bool isCounted(TaskId id) const;
-
   /// One terminal outcome parked until its counted verdict is known.
   struct PendingTerminal {
     std::uint64_t ordinal;
@@ -189,7 +184,6 @@ class Metrics {
 
   std::vector<TypeOutcomes> perType_;
   TypeOutcomes totals_;
-  std::vector<bool> counted_;  ///< empty = count everything
   std::size_t countedTotal_ = 0;
   std::size_t terminalTotal_ = 0;
   std::size_t deferrals_ = 0;

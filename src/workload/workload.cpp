@@ -51,18 +51,4 @@ Workload Workload::generate(const PetMatrix& pet, const ArrivalSpec& arrival,
   return Workload(std::move(tasks), arrival.numTaskTypes);
 }
 
-std::vector<bool> Workload::countedMask(std::size_t margin) const {
-  std::vector<bool> mask(tasks_.size(), true);
-  if (tasks_.size() <= 2 * margin) {
-    // Degenerate trial: everything is warm-up; count nothing.
-    std::fill(mask.begin(), mask.end(), false);
-    return mask;
-  }
-  for (std::size_t i = 0; i < margin; ++i) {
-    mask[i] = false;
-    mask[mask.size() - 1 - i] = false;
-  }
-  return mask;
-}
-
 }  // namespace hcs::workload

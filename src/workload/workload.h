@@ -1,8 +1,8 @@
 #pragma once
 // A workload trial: the full, time-sorted list of task specs fed to one
-// simulation run, plus the warm-up/cool-down trimming mask of §V-B
-// ("The first and last 100 tasks in each workload trial are removed from
-// the data").
+// simulation run.  (The warm-up/cool-down trimming of §V-B — "The first and
+// last 100 tasks in each workload trial are removed from the data" — is
+// sim::Metrics::enableOnlineCounting.)
 
 #include <cstdint>
 #include <vector>
@@ -36,11 +36,6 @@ class Workload {
   const std::vector<TaskSpec>& tasks() const { return tasks_; }
   std::size_t size() const { return tasks_.size(); }
   int numTaskTypes() const { return numTaskTypes_; }
-
-  /// Mask (parallel to tasks(), by creation index) marking which tasks
-  /// count toward robustness after trimming the first and last `margin`
-  /// arrivals.
-  std::vector<bool> countedMask(std::size_t margin = 100) const;
 
  private:
   std::vector<TaskSpec> tasks_;

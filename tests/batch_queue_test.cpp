@@ -104,6 +104,7 @@ class JournalConsumer {
       pos_ = queue.journalSize();
       resetGen_ = queue.resetGeneration();
     }
+    ASSERT_GE(pos_, queue.journalBegin()) << "journal released unreplayed";
     for (; pos_ < queue.journalSize(); ++pos_) {
       const BatchQueue::JournalEntry& e = queue.journalAt(pos_);
       if (e.op == BatchQueue::JournalEntry::Op::Push) {
@@ -114,6 +115,7 @@ class JournalConsumer {
             [&](const auto& p) { return p.second == e.seq; }));
       }
     }
+    queue.releaseJournal(pos_);
   }
 
   std::vector<TaskId> liveTasks() const {
@@ -291,6 +293,53 @@ TEST(BatchQueueTest, RecordsNoJournalUntilAConsumerAsks) {
   queue.push(3);
   ASSERT_EQ(queue.journalSize(), 1u);
   EXPECT_EQ(queue.journalAt(0).task, 3);
+}
+
+TEST(BatchQueueTest, ReleasedJournalStaysBoundedOverALongRun) {
+  // A long push/remove run with a small live set, synced every few
+  // mutations: the journal holds only what the consumer has not replayed,
+  // not two entries per task ever pushed — while positions stay monotone.
+  BatchQueue queue;
+  JournalConsumer consumer;
+  std::vector<TaskId> live;
+  std::size_t maxHeld = 0;
+  TaskId nextId = 0;
+  for (int op = 0; op < 200000; ++op) {
+    if (live.size() < 8 || op % 2 == 0) {
+      queue.push(nextId);
+      live.push_back(nextId++);
+    } else {
+      queue.remove(live.front());
+      live.erase(live.begin());
+    }
+    maxHeld = std::max(maxHeld, queue.journalSize() - queue.journalBegin());
+    if (op % 16 == 0) {
+      consumer.sync(queue);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+      ASSERT_EQ(queue.journalBegin(), queue.journalSize());
+    }
+  }
+  consumer.sync(queue);
+  EXPECT_EQ(consumer.liveTasks(), live);
+  EXPECT_LE(maxHeld, 16u);
+  // Positions never rewind: every op after the first sync started the
+  // recording is still numbered.
+  EXPECT_EQ(queue.journalSize(), 200000u - 1);
+
+  // A consumer that stops syncing: the journal is dropped once replaying
+  // it would cost more than a rebuild, and the next sync rebuilds.
+  const std::uint64_t gen = queue.resetGeneration();
+  for (int op = 0; op < 100000; ++op) {
+    queue.push(nextId);
+    live.push_back(nextId++);
+    queue.remove(live.front());
+    live.erase(live.begin());
+    ASSERT_LE(queue.journalSize() - queue.journalBegin(),
+              64 + 4 * queue.size());
+  }
+  EXPECT_NE(queue.resetGeneration(), gen);
+  consumer.sync(queue);
+  EXPECT_EQ(consumer.liveTasks(), live);
 }
 
 std::vector<TaskId> walk(const BatchQueue& queue) {

@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "core/simulation.h"
+#include "exp/experiment.h"
 #include "exp/scenario.h"
 #include "exp/scenario_spec.h"
 #include "exp/sweep.h"
-#include "fed/fed_experiment.h"
 #include "fed/federation.h"
 #include "sim/trace.h"
 #include "workload/workload.h"
@@ -164,6 +164,41 @@ TEST(FederationOracleTest, AbortAndNoCacheConfigurationsMatch) {
   }
 }
 
+TEST(FederationOracleTest, PctCacheStatsMatchDirectEngine) {
+  // The federated total carries the PCT cache's work counters summed over
+  // the clusters; at N=1 they are the single-cluster trial's.
+  exp::PaperScenario::Options options;
+  options.scale = testScale();
+  const exp::PaperScenario scenario(options);
+  const workload::Workload wl =
+      makeWorkload(scenario, exp::PaperScenario::kRate25k, 7);
+  core::SimulationConfig config;
+  config.heuristic = "MM";
+  const core::TrialResult direct =
+      core::Simulation(scenario.hetero(), wl, config).run();
+  const core::TrialResult federated =
+      fed::FederatedSimulation({&scenario.hetero()}, wl, config,
+                               fed::FederationSpec{})
+          .run()
+          .total;
+  const heuristics::PctCache::Stats& a = direct.pctCache;
+  const heuristics::PctCache::Stats& b = federated.pctCache;
+  EXPECT_GT(a.hits(), 0u);
+  EXPECT_GT(a.deferStages.total(), 0u);
+  EXPECT_EQ(a.appendHits, b.appendHits);
+  EXPECT_EQ(a.appendMisses, b.appendMisses);
+  EXPECT_EQ(a.chainHits, b.chainHits);
+  EXPECT_EQ(a.chainMisses, b.chainMisses);
+  EXPECT_EQ(a.meanHits, b.meanHits);
+  EXPECT_EQ(a.meanMisses, b.meanMisses);
+  EXPECT_EQ(a.deferStages.bounds, b.deferStages.bounds);
+  EXPECT_EQ(a.deferStages.estimate, b.deferStages.estimate);
+  EXPECT_EQ(a.deferStages.exact, b.deferStages.exact);
+  EXPECT_EQ(a.dropStages.bounds, b.dropStages.bounds);
+  EXPECT_EQ(a.dropStages.estimate, b.dropStages.estimate);
+  EXPECT_EQ(a.dropStages.exact, b.dropStages.exact);
+}
+
 TEST(FederationOracleTest, ExperimentAggregatesMatchRunExperiment) {
   exp::PaperScenario::Options options;
   options.scale = testScale();
@@ -175,7 +210,7 @@ TEST(FederationOracleTest, ExperimentAggregatesMatchRunExperiment) {
   spec.sim.heuristic = "MM";
   const exp::ExperimentResult direct =
       exp::runExperiment(scenario.hetero(), spec);
-  const exp::ExperimentResult federated = fed::runFederatedExperiment(
+  const exp::ExperimentResult federated = exp::runExperiment(
       {&scenario.hetero()}, spec, fed::FederationSpec{});
   EXPECT_EQ(direct.perTrialRobustness, federated.perTrialRobustness);
   EXPECT_EQ(direct.robustnessCi.mean, federated.robustnessCi.mean);

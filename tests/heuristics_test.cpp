@@ -448,6 +448,24 @@ TEST(HomogeneousTest, SjfMapsByExecutionTimeOrder) {
   EXPECT_EQ(assignments[1].task, medium);
 }
 
+TEST(HomogeneousTest, SjfKeysFollowASwitchToAnotherModel) {
+  // SJF computes its per-type keys once per execution model; a call
+  // against a second model must order by that model's execution times.
+  const FakeModel fastFirst = FakeModel::deterministic({{1.0}, {5.0}});
+  const FakeModel fastSecond = FakeModel::deterministic({{5.0}, {1.0}});
+  TestWorld first(1, fastFirst, /*capacity=*/1);
+  TestWorld second(1, fastSecond, /*capacity=*/1);
+  hcs::heuristics::ShortestJobFirst sjf;
+  for (TestWorld* world : {&first, &second, &first}) {
+    const TaskId type0 = world->addTask(0, 0.0, 100.0);
+    const TaskId type1 = world->addTask(1, 0.0, 100.0);
+    const TaskId expected = world == &first ? type0 : type1;
+    EXPECT_EQ(ids(sjf.map(world->context(),
+                          std::vector<TaskId>{type0, type1})),
+              (std::vector<TaskId>{expected}));
+  }
+}
+
 TEST(HomogeneousTest, TiesFollowBatchOrderNotTaskIds) {
   // Streamed task ids are recycled slot handles, so a tie must resolve by
   // arrival (batch) order; here batch order runs against id order.

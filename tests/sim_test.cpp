@@ -556,14 +556,56 @@ TEST(MetricsTest, RejectsNonTerminalTasks) {
                std::logic_error);
 }
 
-TEST(MetricsTest, CountedMaskExcludesWarmupTasks) {
+/// Records `n` terminals with ordinals 0..n-1 under warm-up margin
+/// `margin`, the creation clock advancing with each one, then settles.
+Metrics recordTrimmed(std::size_t n, std::size_t margin,
+                      const std::vector<TaskStatus>& statuses) {
+  std::uint64_t clock = 0;
   Metrics metrics(1);
-  metrics.setCounted({false, true, true});
-  metrics.recordTerminal(makeTerminal(0, 0, TaskStatus::CompletedOnTime));
-  metrics.recordTerminal(makeTerminal(1, 0, TaskStatus::CompletedOnTime));
-  metrics.recordTerminal(makeTerminal(2, 0, TaskStatus::DroppedReactive));
+  metrics.enableOnlineCounting(margin, &clock);
+  for (std::size_t i = 0; i < n; ++i) {
+    Task t = makeTerminal(static_cast<hcs::sim::TaskId>(i), 0,
+                          statuses[i % statuses.size()]);
+    t.ordinal = i;
+    clock = i + 1;
+    metrics.recordTerminal(t);
+  }
+  metrics.endStreamCounting();
+  return metrics;
+}
+
+TEST(MetricsTest, WarmupTrimmingExcludesBothMargins) {
+  // Ordinals 1 and 2 of four are counted: one on time, one dropped.
+  const Metrics metrics =
+      recordTrimmed(4, 1,
+                    {TaskStatus::DroppedReactive, TaskStatus::CompletedOnTime,
+                     TaskStatus::DroppedReactive, TaskStatus::CompletedOnTime});
   EXPECT_EQ(metrics.countedTasks(), 2u);
+  EXPECT_EQ(metrics.terminalCount(), 4u);
   EXPECT_DOUBLE_EQ(metrics.robustnessPercent(), 50.0);
+}
+
+TEST(MetricsTest, WarmupTrimmingTrimsFirstAndLastMargin) {
+  // 50 tasks, margin 5: exactly ordinals 5..44 count.  Every task but the
+  // margins' boundary ones completes late, so on-time counts locate them.
+  std::vector<TaskStatus> statuses(50, TaskStatus::CompletedLate);
+  for (const std::size_t i : {4u, 5u, 44u, 45u}) {
+    statuses[i] = TaskStatus::CompletedOnTime;
+  }
+  const Metrics metrics = recordTrimmed(50, 5, statuses);
+  EXPECT_EQ(metrics.countedTasks(), 40u);
+  EXPECT_EQ(metrics.completedOnTime(), 2u);  // ordinals 5 and 44
+}
+
+TEST(MetricsTest, WarmupTrimmingOfAShortTrialCountsNothing) {
+  // A trial of at most 2 * margin tasks is all warm-up and cool-down.
+  for (const std::size_t n : {10u, 3u}) {
+    const Metrics metrics =
+        recordTrimmed(n, 5, {TaskStatus::CompletedOnTime});
+    EXPECT_EQ(metrics.countedTasks(), 0u) << n;
+    EXPECT_EQ(metrics.terminalCount(), n);
+    EXPECT_DOUBLE_EQ(metrics.robustnessPercent(), 0.0);
+  }
 }
 
 TEST(MetricsTest, EmptyMetricsHasZeroRobustness) {

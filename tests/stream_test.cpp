@@ -24,7 +24,6 @@
 #include "core/simulation.h"
 #include "exp/experiment.h"
 #include "exp/scenario.h"
-#include "fed/fed_experiment.h"
 #include "fed/federation.h"
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
@@ -352,10 +351,10 @@ TEST(StreamedExperimentTest, AggregatesMatchWhenStreamingFlips) {
   fed::FederationSpec fedSpec;
   fedSpec.clusters = 2;
   spec.stream.enabled = false;
-  const exp::ExperimentResult fedMaterialized = fed::runFederatedExperiment(
+  const exp::ExperimentResult fedMaterialized = exp::runExperiment(
       {&scenario.hetero(), &scenario.hetero()}, spec, fedSpec);
   spec.stream.enabled = true;
-  const exp::ExperimentResult fedStreamed = fed::runFederatedExperiment(
+  const exp::ExperimentResult fedStreamed = exp::runExperiment(
       {&scenario.hetero(), &scenario.hetero()}, spec, fedSpec);
   EXPECT_EQ(fedMaterialized.perTrialRobustness,
             fedStreamed.perTrialRobustness);

@@ -330,31 +330,6 @@ TEST(WorkloadTest, GenerateIsDeterministicPerSeed) {
   EXPECT_NE(a.tasks()[0].arrival, c.tasks()[0].arrival);
 }
 
-TEST(WorkloadTest, CountedMaskTrimsBothEnds) {
-  std::vector<hcs::workload::TaskSpec> tasks;
-  for (int i = 0; i < 50; ++i) {
-    tasks.push_back({0, static_cast<double>(i), static_cast<double>(i + 10)});
-  }
-  const Workload wl(std::move(tasks), 1);
-  const auto mask = wl.countedMask(5);
-  EXPECT_FALSE(mask[0]);
-  EXPECT_FALSE(mask[4]);
-  EXPECT_TRUE(mask[5]);
-  EXPECT_TRUE(mask[44]);
-  EXPECT_FALSE(mask[45]);
-  EXPECT_FALSE(mask[49]);
-}
-
-TEST(WorkloadTest, CountedMaskDegeneratesToAllFalse) {
-  std::vector<hcs::workload::TaskSpec> tasks;
-  for (int i = 0; i < 10; ++i) {
-    tasks.push_back({0, static_cast<double>(i), static_cast<double>(i + 1)});
-  }
-  const Workload wl(std::move(tasks), 1);
-  const auto mask = wl.countedMask(5);
-  for (bool b : mask) EXPECT_FALSE(b);
-}
-
 TEST(WorkloadTest, RejectsMalformedTaskLists) {
   using hcs::workload::TaskSpec;
   EXPECT_THROW(Workload({TaskSpec{0, 5.0, 4.0}}, 1), std::invalid_argument);

@@ -1,5 +1,10 @@
 #include "exp/experiment.h"
 
+#include <algorithm>
+#include <atomic>
+#include <deque>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -48,36 +53,156 @@ TrialRunner::TrialRunner(
   }
 }
 
-core::TrialResult TrialRunner::runTrial(std::size_t trial) const {
+core::SimulationConfig TrialRunner::trialConfig(std::size_t trial) const {
   const std::uint64_t workloadSeed = spec_->baseSeed + trial;
-
   core::SimulationConfig simConfig = spec_->sim;
   simConfig.executionSeed = executionSeedFor(workloadSeed);
   simConfig.faultSeed = faultSeedFor(workloadSeed);
   simConfig.elasticitySeed = elasticitySeedFor(workloadSeed);
+  return simConfig;
+}
 
-  std::vector<const sim::ExecutionModel*> models(models_.begin(),
-                                                 models_.end());
-  const workload::PetMatrix& pet = models_[0]->matrix();
-  if (spec_->stream.enabled) {
-    // Bounded-memory path: the trial pulls tasks as it reaches them —
-    // generated (identical to the materialized trial below) or replayed
-    // from an external trace — and never holds more than the in-flight
-    // window.
-    const std::unique_ptr<workload::TaskStream> stream =
-        workload::openTaskStream(spec_->stream, pet, spec_->arrival,
-                                 spec_->deadline, workloadSeed);
-    return fed::FederatedSimulation(std::move(models), *stream, simConfig,
-                                    federation_)
-        .run()
-        .total;
-  }
-  const workload::Workload wl = workload::Workload::generate(
-      pet, spec_->arrival, spec_->deadline, workloadSeed);
-  return fed::FederatedSimulation(std::move(models), wl, simConfig,
-                                  federation_)
+bool TrialRunner::sharesWorkloads(const TrialRunner& other) const {
+  return materialized() && other.materialized() &&
+         &models_[0]->matrix() == &other.models_[0]->matrix() &&
+         spec_->arrival == other.spec_->arrival &&
+         spec_->deadline == other.spec_->deadline &&
+         spec_->baseSeed == other.spec_->baseSeed;
+}
+
+workload::Workload TrialRunner::generateWorkload(std::size_t trial) const {
+  return workload::Workload::generate(models_[0]->matrix(), spec_->arrival,
+                                      spec_->deadline,
+                                      spec_->baseSeed + trial);
+}
+
+core::TrialResult TrialRunner::runTrial(std::size_t trial) const {
+  if (materialized()) return runTrial(trial, generateWorkload(trial));
+  // Bounded-memory path: the trial pulls tasks as it reaches them —
+  // generated (identical to the materialized trial) or replayed from an
+  // external trace — and never holds more than the in-flight window.
+  const std::unique_ptr<workload::TaskStream> stream =
+      workload::openTaskStream(spec_->stream, models_[0]->matrix(),
+                               spec_->arrival, spec_->deadline,
+                               spec_->baseSeed + trial);
+  return fed::FederatedSimulation({models_.begin(), models_.end()}, *stream,
+                                  trialConfig(trial), federation_)
       .run()
       .total;
+}
+
+core::TrialResult TrialRunner::runTrial(
+    std::size_t trial, const workload::Workload& workload) const {
+  return fed::FederatedSimulation({models_.begin(), models_.end()}, workload,
+                                  trialConfig(trial), federation_)
+      .run()
+      .total;
+}
+
+namespace {
+
+/// One (group, trial) workload, shared by that trial's units of the group.
+struct SharedWorkload {
+  std::once_flag generated;
+  std::optional<workload::Workload> workload;
+  std::atomic<std::size_t> pending{0};  ///< units yet to finish with it
+};
+
+/// One trial of one point; `shared` is null for streamed points.
+struct Unit {
+  std::size_t point;
+  std::size_t trial;
+  SharedWorkload* shared;
+};
+
+}  // namespace
+
+std::vector<ExperimentResult> runExperiments(
+    const std::vector<TrialRunner>& points, std::size_t jobs,
+    const std::function<void(std::size_t)>& onPointStart, SweepStats* stats) {
+  // Group the points whose trial t draws the same workload, each group in
+  // order of its first point.  Streamed points share with nothing.
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    if (points[p].trials() == 0) {
+      throw std::invalid_argument("runExperiment: need at least one trial");
+    }
+    const auto group = std::find_if(
+        groups.begin(), groups.end(), [&](const std::vector<std::size_t>& g) {
+          return points[g.front()].sharesWorkloads(points[p]);
+        });
+    if (group == groups.end()) {
+      groups.push_back({p});
+    } else {
+      group->push_back(p);
+    }
+  }
+
+  // Units group-major, then trial-major, then in point order: a (group,
+  // trial)'s units are adjacent, so its workload lives only while they run.
+  std::deque<SharedWorkload> shared;
+  std::vector<Unit> units;
+  for (const std::vector<std::size_t>& group : groups) {
+    std::size_t trials = 0;
+    for (std::size_t p : group) trials = std::max(trials, points[p].trials());
+    for (std::size_t t = 0; t < trials; ++t) {
+      SharedWorkload* slot =
+          points[group.front()].materialized() ? &shared.emplace_back()
+                                               : nullptr;
+      for (std::size_t p : group) {
+        if (t >= points[p].trials()) continue;
+        units.push_back({p, t, slot});
+        if (slot != nullptr) slot->pending.fetch_add(1);
+      }
+    }
+  }
+
+  std::vector<std::vector<core::TrialResult>> outcomes(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    outcomes[p].resize(points[p].trials());
+  }
+  std::mutex announceMutex;
+  std::atomic<std::size_t> generated{0};
+  std::atomic<std::size_t> live{0};
+  std::atomic<std::size_t> peakLive{0};
+  ParallelExecutor(jobs).run(units.size(), [&](std::size_t i) {
+    const Unit& unit = units[i];
+    const TrialRunner& runner = points[unit.point];
+    if (unit.trial == 0 && onPointStart) {
+      const std::lock_guard<std::mutex> lock(announceMutex);
+      onPointStart(unit.point);
+    }
+    core::TrialResult& slot = outcomes[unit.point][unit.trial];
+    if (unit.shared == nullptr) {
+      slot = runner.runTrial(unit.trial);
+      return;
+    }
+    SharedWorkload& shared = *unit.shared;
+    std::call_once(shared.generated, [&] {
+      shared.workload.emplace(runner.generateWorkload(unit.trial));
+      generated.fetch_add(1);
+      const std::size_t now = live.fetch_add(1) + 1;
+      std::size_t peak = peakLive.load();
+      while (peak < now && !peakLive.compare_exchange_weak(peak, now)) {
+      }
+    });
+    slot = runner.runTrial(unit.trial, *shared.workload);
+    if (shared.pending.fetch_sub(1) == 1) {
+      shared.workload.reset();
+      live.fetch_sub(1);
+    }
+  });
+
+  if (stats != nullptr) {
+    stats->workloadsGenerated = generated.load();
+    stats->peakLiveWorkloads = peakLive.load();
+  }
+  std::vector<ExperimentResult> results;
+  results.reserve(points.size());
+  for (const std::vector<core::TrialResult>& trials : outcomes) {
+    results.push_back(aggregateTrialResults(trials));
+  }
+  return results;
 }
 
 ExperimentResult aggregateTrialResults(
@@ -135,18 +260,8 @@ ExperimentResult runExperiment(const workload::BoundExecutionModel& model,
 ExperimentResult runExperiment(
     const std::vector<const workload::BoundExecutionModel*>& models,
     const ExperimentSpec& spec, const fed::FederationSpec& federation) {
-  if (spec.trials == 0) {
-    throw std::invalid_argument("runExperiment: need at least one trial");
-  }
-  const TrialRunner runner(models, spec, federation);
-
-  // Execute trials on the pool (each owns all of its mutable state)…
-  std::vector<core::TrialResult> outcomes(spec.trials);
-  ParallelExecutor(spec.jobs).run(
-      spec.trials,
-      [&](std::size_t trial) { outcomes[trial] = runner.runTrial(trial); });
-
-  return aggregateTrialResults(outcomes);
+  return runExperiments({TrialRunner(models, spec, federation)}, spec.jobs)
+      .front();
 }
 
 }  // namespace hcs::exp

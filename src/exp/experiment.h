@@ -5,6 +5,7 @@
 // interval of the results are reported."
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/config.h"
@@ -34,9 +35,9 @@ struct ExperimentSpec {
   /// workload trials — the paper's paired-comparison setup.
   std::uint64_t baseSeed = 2019;
   /// Worker threads for trial execution: 1 = serial (default), 0 = one per
-  /// hardware thread, N = exactly N.  Trials are independent and results
-  /// are merged in trial order, so every value produces bit-identical
-  /// aggregates.
+  /// hardware thread, N = exactly N (a sweep runs on one pool of its points'
+  /// largest value).  Trials are independent and results are merged in
+  /// trial order, so every value produces bit-identical aggregates.
   std::size_t jobs = 1;
 };
 
@@ -68,11 +69,11 @@ struct ExperimentResult {
   double robustnessMean() const { return robustnessCi.mean; }
 };
 
-/// Executes the independent trials of one experiment.  Each trial
-/// generates its own workload (seeded from the spec) — or opens its arrival
-/// stream, when spec.stream is enabled — and owns every piece of mutable
-/// simulation state, so any number of trials may run concurrently against
-/// the shared immutable models.
+/// Executes the independent trials of one experiment.  Each trial draws
+/// its workload from the spec's seed — materialized (generateWorkload), or
+/// as an arrival stream when spec.stream is enabled — and owns every piece
+/// of mutable simulation state, so any number of trials may run
+/// concurrently against the shared immutable models.
 class TrialRunner {
  public:
   /// Single-cluster trials.  `model` and `spec` must outlive the runner.
@@ -88,20 +89,62 @@ class TrialRunner {
 
   std::size_t trials() const { return spec_->trials; }
 
+  /// True unless the trials pull their tasks from an arrival stream.
+  bool materialized() const { return !spec_->stream.enabled; }
+
+  /// True when both runners materialize their trials and trial t of each
+  /// generates the same workload: same PET matrix, arrival and deadline
+  /// specs, and base seed — everything Workload::generate reads.
+  bool sharesWorkloads(const TrialRunner& other) const;
+
+  /// Trial `trial`'s materialized workload.
+  workload::Workload generateWorkload(std::size_t trial) const;
+
   /// Runs trial `trial` (0-based) to completion.  Deterministic in
   /// (models, spec, federation, trial) — thread-safe by construction.
   core::TrialResult runTrial(std::size_t trial) const;
 
+  /// The same over a workload already generated for this trial (by this
+  /// runner or by one it sharesWorkloads() with).
+  core::TrialResult runTrial(std::size_t trial,
+                             const workload::Workload& workload) const;
+
  private:
+  core::SimulationConfig trialConfig(std::size_t trial) const;
+
   std::vector<const workload::BoundExecutionModel*> models_;
   const ExperimentSpec* spec_;
   fed::FederationSpec federation_;
 };
 
+/// Counters of one runExperiments call.
+struct SweepStats {
+  /// Materialized workloads built: one per (group, trial), whatever jobs.
+  std::size_t workloadsGenerated = 0;
+  /// Most workloads held at once: 1 serially; with more jobs it depends on
+  /// timing, but never exceeds jobs + 1.
+  std::size_t peakLiveWorkloads = 0;
+};
+
+/// Runs every trial of every point on one pool of `jobs` threads (0 = one
+/// per hardware thread) and aggregates each point in trial order, so the
+/// results are bit-identical to running the points one at a time, for any
+/// job count.  Points that sharesWorkloads() form a group; units run
+/// group-major, then trial-major, then in point order.  The first unit of
+/// a (group, trial) generates its workload and the last to finish frees
+/// it, so at most jobs + 1 workloads are live at once.  `onPointStart`
+/// (optional; calls are serialized) is invoked as a point's first trial
+/// starts.  Throws std::invalid_argument for a point with zero trials.
+std::vector<ExperimentResult> runExperiments(
+    const std::vector<TrialRunner>& points, std::size_t jobs,
+    const std::function<void(std::size_t)>& onPointStart = {},
+    SweepStats* stats = nullptr);
+
 /// Runs `spec.trials` independent workload trials against the given cluster
 /// model — on `spec.jobs` threads — and aggregates the outcomes in trial
-/// order (bit-identical for any job count).  The PET matrix behind `model`
-/// is also used for deadline assignment (Eq. 4 needs avg_i / avg_all).
+/// order (bit-identical for any job count): the one-point runExperiments.
+/// The PET matrix behind `model` is also used for deadline assignment
+/// (Eq. 4 needs avg_i / avg_all).
 ExperimentResult runExperiment(const workload::BoundExecutionModel& model,
                                const ExperimentSpec& spec);
 

@@ -1,10 +1,10 @@
 #pragma once
 // Deterministic fork-join execution of independent trial indices.
 //
-// The experiment layer runs `spec.trials` fully independent simulations —
-// the paper's §V-A methodology — so the only thing a thread pool must
-// guarantee is that results land in per-trial slots and are *merged* in
-// trial order afterwards.  ParallelExecutor provides exactly that: a
+// The experiment layer runs fully independent simulations — the (point,
+// trial) units of a sweep, after the paper's §V-A methodology — so the only
+// thing a thread pool must guarantee is that results land in per-trial
+// slots and are *merged* in trial order afterwards.  ParallelExecutor provides exactly that: a
 // fetch-add work queue over [0, n) with no ordering promises during
 // execution and all-slots-filled semantics at the join, which keeps every
 // aggregate bit-identical to the serial path regardless of the job count.

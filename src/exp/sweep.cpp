@@ -1,9 +1,12 @@
 #include "exp/sweep.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
+
+#include "exp/parallel.h"
 
 namespace hcs::exp {
 
@@ -333,33 +336,47 @@ std::vector<GridPoint> expandGrid(const ScenarioDoc& doc) {
 std::vector<SweepOutcome> runSweep(
     const ScenarioDoc& doc,
     const std::function<void(std::size_t, std::size_t, const std::string&)>&
-        progress) {
+        progress,
+    SweepStats* stats) {
   std::vector<GridPoint> grid = expandGrid(doc);
+  // Bind every point up front (the runners point into `bound`, which
+  // therefore must not reallocate), sharing one PaperScenario per
+  // scenarioModelKey so a sweep that only varies heuristics synthesizes
+  // the PET matrix once — and its points draw paired workloads from it.
   std::map<std::string, std::shared_ptr<const PaperScenario>> models;
+  std::vector<BoundScenario> bound;
+  bound.reserve(grid.size());
+  std::vector<TrialRunner> runners;
+  runners.reserve(grid.size());
+  std::size_t jobs = 1;
+  for (const GridPoint& point : grid) {
+    std::shared_ptr<const PaperScenario>& cached =
+        models[scenarioModelKey(point.spec)];
+    const BoundScenario& b =
+        bound.emplace_back(bindScenario(point.spec, cached));
+    cached = b.paper;
+    runners.push_back(b.federated
+                          ? TrialRunner(b.fedModels, b.experiment, b.federation)
+                          : TrialRunner(*b.model, b.experiment));
+    jobs = std::max(jobs, resolveJobs(b.experiment.jobs));
+  }
+
+  const auto announce = [&](std::size_t i) {
+    if (!progress) return;
+    std::ostringstream label;
+    for (std::size_t a = 0; a < grid[i].labels.size(); ++a) {
+      if (a > 0) label << " ";
+      label << doc.axes[a].label << "=" << grid[i].labels[a];
+    }
+    progress(i, grid.size(), label.str());
+  };
+  std::vector<ExperimentResult> results =
+      runExperiments(runners, jobs, announce, stats);
+
   std::vector<SweepOutcome> outcomes;
   outcomes.reserve(grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    GridPoint& point = grid[i];
-    if (progress) {
-      std::ostringstream label;
-      for (std::size_t a = 0; a < point.labels.size(); ++a) {
-        if (a > 0) label << " ";
-        label << doc.axes[a].label << "=" << point.labels[a];
-      }
-      progress(i, grid.size(), label.str());
-    }
-    std::shared_ptr<const PaperScenario>& cached =
-        models[scenarioModelKey(point.spec)];
-    BoundScenario bound = bindScenario(point.spec, cached);
-    cached = bound.paper;
-    SweepOutcome outcome;
-    outcome.result =
-        bound.federated
-            ? runExperiment(bound.fedModels, bound.experiment,
-                            bound.federation)
-            : runExperiment(*bound.model, bound.experiment);
-    outcome.point = std::move(point);
-    outcomes.push_back(std::move(outcome));
+    outcomes.push_back({std::move(grid[i]), std::move(results[i])});
   }
   return outcomes;
 }

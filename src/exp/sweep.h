@@ -15,9 +15,8 @@
 // arbitrary multi-field patches (each `set` entry assigns a JSON value at
 // a dotted path — objects replace the whole subtree, so `"sim.pruning":
 // {}` means "paper-default pruning").  The grid is the Cartesian product
-// in declared order with the LAST axis varying fastest, every grid point
-// keeps the document's base seed (the paper's paired-trials methodology),
-// and each point's trials execute through the existing ParallelExecutor.
+// in declared order with the LAST axis varying fastest, and every grid point
+// keeps the document's base seed (the paper's paired-trials methodology).
 
 #include <cstddef>
 #include <functional>
@@ -107,14 +106,20 @@ struct SweepOutcome {
   ExperimentResult result;
 };
 
-/// Runs every grid point (sequentially; each point's trials run on the
-/// point's `run.jobs` ParallelExecutor threads) against models cached by
-/// scenarioModelKey(), so a sweep that only varies heuristics synthesizes
-/// the PET matrix once.  `progress` (optional) is invoked before each
-/// point with (pointIndex, pointCount, label).
+/// Runs the whole grid through runExperiments: every point is bound first
+/// (models cached by scenarioModelKey(), so a sweep that only varies
+/// heuristics synthesizes the PET matrix once), then all (point, trial)
+/// units run on one pool of the grid's largest `run.jobs`, and points that
+/// draw the same workloads generate each trial's workload once.  Results
+/// equal running the points one at a time with runExperiment, for any job
+/// count.  `progress` (optional; calls are serialized, possibly from a
+/// worker thread) is invoked as each point's first trial starts with
+/// (pointIndex, pointCount, label).  `stats` (optional) receives the
+/// executor's counters.
 std::vector<SweepOutcome> runSweep(
     const ScenarioDoc& doc,
     const std::function<void(std::size_t, std::size_t, const std::string&)>&
-        progress = {});
+        progress = {},
+    SweepStats* stats = nullptr);
 
 }  // namespace hcs::exp

@@ -97,6 +97,8 @@ struct ArrivalSpec {
   double burstPeakRate = 0.0;  ///< extra rate at a burst center
   double burstWidth = 1.0;     ///< burst standard deviation (time units)
   double burstPeriod = 0.0;    ///< burst spacing (time units)
+
+  bool operator==(const ArrivalSpec&) const = default;
 };
 
 /// Generates the merged, time-sorted arrival list for all task types.

@@ -14,6 +14,8 @@ namespace hcs::workload {
 struct DeadlineSpec {
   double betaLo = 0.8;
   double betaHi = 2.5;
+
+  bool operator==(const DeadlineSpec&) const = default;
 };
 
 /// Computes a task's deadline given its arrival time and type (Eq. 4).

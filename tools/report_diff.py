@@ -5,7 +5,9 @@ Strings, booleans, nulls, keys and array lengths must match exactly;
 numbers match exactly by default, or within --rtol/--atol when given (CI
 compares cross-compiler/cross-libm runs against the committed golden with a
 tiny rtol, so a last-ulp libm difference doesn't fail the build while any
-real regression does).
+real regression does).  --ignore skips one path in the diff's own notation
+(e.g. `$.config.run.jobs`, the echoed thread count, when a run at another
+job count is checked against a golden recorded serially).
 
 Exit status: 0 = match, 1 = mismatch, 2 = usage/IO error.
 """
@@ -16,8 +18,8 @@ import math
 import sys
 
 
-def compare(a, b, path, rtol, atol, diffs, limit=20):
-    if len(diffs) >= limit:
+def compare(a, b, path, rtol, atol, diffs, limit=20, ignore=frozenset()):
+    if len(diffs) >= limit or path in ignore:
         return
     if type(a) is not type(b) and not (
         isinstance(a, (int, float)) and isinstance(b, (int, float))
@@ -33,13 +35,13 @@ def compare(a, b, path, rtol, atol, diffs, limit=20):
                 diffs.append(f"{path}.{key}: only in first file")
             else:
                 compare(a[key], b[key], f"{path}.{key}", rtol, atol, diffs,
-                        limit)
+                        limit, ignore)
     elif isinstance(a, list):
         if len(a) != len(b):
             diffs.append(f"{path}: array length {len(a)} != {len(b)}")
             return
         for i, (x, y) in enumerate(zip(a, b)):
-            compare(x, y, f"{path}[{i}]", rtol, atol, diffs, limit)
+            compare(x, y, f"{path}[{i}]", rtol, atol, diffs, limit, ignore)
     elif isinstance(a, bool) or a is None or isinstance(a, str):
         if a != b:
             diffs.append(f"{path}: {a!r} != {b!r}")
@@ -59,6 +61,10 @@ def main():
                         help="relative tolerance for numbers (default exact)")
     parser.add_argument("--atol", type=float, default=0.0,
                         help="absolute tolerance for numbers (default exact)")
+    parser.add_argument("--ignore", action="append", default=[],
+                        metavar="PATH",
+                        help="skip this path, e.g. $.config.run.jobs "
+                             "(repeatable)")
     args = parser.parse_args()
 
     try:
@@ -71,7 +77,8 @@ def main():
         return 2
 
     diffs = []
-    compare(current, golden, "$", args.rtol, args.atol, diffs)
+    compare(current, golden, "$", args.rtol, args.atol, diffs,
+            ignore=frozenset(args.ignore))
     if diffs:
         print(f"report_diff: {args.current} deviates from {args.golden}:")
         for d in diffs:
